@@ -1,10 +1,14 @@
 #include "core/greedy_multi.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
 #include <unordered_map>
+#include <utility>
 
-#include "common/logging.h"
-#include "common/parallel.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 
 namespace ftrepair {
@@ -12,6 +16,33 @@ namespace ftrepair {
 namespace {
 
 constexpr double kInf = ViolationGraph::kInfinity;
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+// Ordered-set entry: (cached cost, flattened slot).
+using SlotKey = std::pair<double, uint32_t>;
+// Charged per ordered-set entry: the key plus a red-black tree node's
+// three links and color word.
+constexpr uint64_t kSetNodeBytes = sizeof(SlotKey) + 4 * sizeof(void*);
+// Charged per slot up front: cost cache, dirty flag, reader-list
+// header, dedupe stamp and one ordered-set node.
+constexpr uint64_t kSlotBytes = sizeof(double) + sizeof(uint8_t) +
+                                sizeof(std::vector<uint32_t>) +
+                                sizeof(uint32_t) + kSetNodeBytes;
+
+// Scope guard: mirrors the round loop's work into the metrics
+// registry on exit (the TargetsInstrument pattern of multi_common.cc).
+struct SolveInstrument {
+  uint64_t rounds = 0;
+  uint64_t cost_evals = 0;
+  ~SolveInstrument() {
+    static Counter* rounds_counter =
+        Metrics().GetCounter("ftrepair.solve.greedy_rounds");
+    static Counter* evals_counter =
+        Metrics().GetCounter("ftrepair.solve.cost_evals");
+    rounds_counter->Increment(rounds);
+    evals_counter->Increment(cost_evals);
+  }
+};
 
 struct GreedyMultiState {
   const ComponentContext* ctx;
@@ -34,6 +65,26 @@ struct GreedyMultiState {
   // Per FD pair (k, j): shared component positions, empty if disjoint.
   std::vector<std::vector<std::vector<int>>> shared_pos;
 
+  // Flattened (fd, pattern) slot space: slot_base[k] + v, in the
+  // serial scan's (k, v) lexicographic order.
+  std::vector<uint32_t> slot_base;
+
+  // Incremental round state (see SolveGreedyMulti).
+  std::vector<double> cost_cache;  // ordered-set key of each live slot
+  std::set<SlotKey> live;          // every candidate, keyed (cost, slot)
+  std::vector<uint8_t> is_dirty;
+  std::vector<uint32_t> dirty;
+  // readers[e]: slots whose cached cost read blocked at entry e (a
+  // flattened (fd, pattern)) while it was 0. last_reader[e] dedupes
+  // repeated reads by the same slot.
+  std::vector<std::vector<uint32_t>> readers;
+  std::vector<uint32_t> last_reader;
+  uint32_t scoring_slot = kNoSlot;
+  // Patterns whose blocked count went 0 -> 1 in the latest Add.
+  std::vector<int> flipped;
+  uint64_t charged_bytes = 0;  // kSolve bytes to release on exit
+  bool charge_failed = false;
+
   void Init(const ComponentContext& context, const RepairOptions& opts) {
     ctx = &context;
     options = &opts;
@@ -45,6 +96,7 @@ struct GreedyMultiState {
     phi_index.resize(num_fds);
     attr_pos.resize(num_fds);
     shared_pos.assign(num_fds, std::vector<std::vector<int>>(num_fds));
+    slot_base.assign(num_fds + 1, 0);
 
     std::unordered_map<int, int> col_to_pos;
     for (size_t p = 0; p < context.component_cols.size(); ++p) {
@@ -56,6 +108,7 @@ struct GreedyMultiState {
       blocked[k].assign(static_cast<size_t>(n), 0);
       best_unit[k].assign(static_cast<size_t>(n), kInf);
       remaining += static_cast<size_t>(n);
+      slot_base[k + 1] = slot_base[k] + static_cast<uint32_t>(n);
       for (int j = 0; j < n; ++j) {
         phi_index[k].emplace(context.graphs[k].pattern(j).values, j);
       }
@@ -76,9 +129,76 @@ struct GreedyMultiState {
     }
   }
 
+  // Charges `bytes` of round state to the solve phase; a failed charge
+  // latches charge_failed for the round loop to act on.
+  bool Charge(uint64_t bytes) {
+    if (!MemCharge(options->memory, bytes, MemPhase::kSolve)) {
+      charge_failed = true;
+      return false;
+    }
+    charged_bytes += bytes;
+    return true;
+  }
+
+  void Release(uint64_t bytes) {
+    if (options->memory != nullptr) options->memory->Release(bytes);
+    charged_bytes -= bytes;
+  }
+
+  // Sizes the incremental structures and queues every candidate for
+  // its first scoring. False when the memory charge fails.
+  bool InitRounds() {
+    const uint32_t total = slot_base[num_fds];
+    if (!Charge(uint64_t{total} * kSlotBytes)) return false;
+    cost_cache.assign(total, 0.0);
+    is_dirty.assign(total, 0);
+    readers.resize(total);
+    last_reader.assign(total, kNoSlot);
+    for (size_t k = 0; k < num_fds; ++k) {
+      for (int v = 0; v < ctx->graphs[k].num_patterns(); ++v) {
+        if (IsCandidate(k, v)) MarkDirty(slot_base[k] + v);
+      }
+    }
+    return true;
+  }
+
   bool IsCandidate(size_t k, int v) const {
     return !chosen[k][static_cast<size_t>(v)] &&
            blocked[k][static_cast<size_t>(v)] == 0;
+  }
+
+  size_t FdOfSlot(uint32_t slot) const {
+    return static_cast<size_t>(
+               std::upper_bound(slot_base.begin(), slot_base.end(), slot) -
+               slot_base.begin()) -
+           1;
+  }
+
+  void MarkDirty(uint32_t slot) {
+    if (is_dirty[slot]) return;
+    is_dirty[slot] = 1;
+    dirty.push_back(slot);
+  }
+
+  // blocked[j][phi] > 0, logging the slot being scored as a reader of
+  // the entry while it is 0. blocked only grows, so a read of a
+  // positive count never goes stale; a chosen pattern never becomes
+  // blocked inside the round loop, so its reads need no log either.
+  bool IsBlocked(size_t j, int phi) {
+    const size_t p = static_cast<size_t>(phi);
+    if (blocked[j][p] > 0) return true;
+    if (chosen[j][p]) return false;
+    const uint32_t entry = slot_base[j] + static_cast<uint32_t>(phi);
+    if (last_reader[entry] != scoring_slot) {
+      last_reader[entry] = scoring_slot;
+      std::vector<uint32_t>& list = readers[entry];
+      const size_t before = list.capacity();
+      list.push_back(scoring_slot);
+      if (list.capacity() != before) {
+        Charge((list.capacity() - before) * sizeof(uint32_t));
+      }
+    }
+    return false;
   }
 
   // At most this many underlying Sigma-patterns (resp. candidate
@@ -90,10 +210,10 @@ struct GreedyMultiState {
   // Conflict indicator of sigma-pattern s against FD j's chosen set,
   // after hypothetically rewriting the shared positions with the values
   // of phi-pattern `u` of FD k (u < 0 means "no rewrite").
-  int ConflictAfter(size_t k, int u, size_t j, int sigma) const {
+  int ConflictAfter(size_t k, int u, size_t j, int sigma) {
     int cur_phi = ctx->phi_of_sigma[j][static_cast<size_t>(sigma)];
     if (u < 0 || shared_pos[k][j].empty()) {
-      return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
+      return IsBlocked(j, cur_phi) ? 1 : 0;
     }
     const std::vector<Value>& cur_values =
         ctx->graphs[j].pattern(cur_phi).values;
@@ -109,7 +229,7 @@ struct GreedyMultiState {
       changed = cur_values[jp] != u_values[a];
     }
     if (!changed) {
-      return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
+      return IsBlocked(j, cur_phi) ? 1 : 0;
     }
     std::vector<Value> proj = cur_values;
     for (size_t a = 0; a < attr_pos[k].size(); ++a) {
@@ -124,12 +244,12 @@ struct GreedyMultiState {
     // less violations for phi_j", §4.4): the close-world model would
     // have to invent the combination.
     if (found == phi_index[j].end()) return 1;
-    return blocked[j][static_cast<size_t>(found->second)] > 0 ? 1 : 0;
+    return IsBlocked(j, found->second) ? 1 : 0;
   }
 
   // Synchronization-aware score of repairing neighbor v (of FD k) to
   // target u, per underlying tuple (Eq. 12's inner choice).
-  double TargetScore(size_t k, int v, int u, double edge_cost) const {
+  double TargetScore(size_t k, int v, int u, double edge_cost) {
     double score = edge_cost;
     double w = options->cross_weight;
     if (w <= 0) return score;
@@ -159,7 +279,7 @@ struct GreedyMultiState {
   // neighbors already covered by the chosen set contribute only their
   // improvement, and the candidate's own exclusion cost is netted out
   // (see greedy_single.cc for the rationale).
-  double CandidateCost(size_t k, int c) const {
+  double CandidateCost(size_t k, int c) {
     const ViolationGraph& graph = ctx->graphs[k];
     double cost = 0;
     std::vector<std::pair<double, int>> eligible;
@@ -196,17 +316,66 @@ struct GreedyMultiState {
     return cost;
   }
 
+  // Re-scores every dirty candidate and re-keys it in the live set.
+  // Returns the number of CandidateCost evaluations.
+  uint64_t Rescore() {
+    uint64_t evals = 0;
+    for (uint32_t slot : dirty) {
+      is_dirty[slot] = 0;
+      size_t k = FdOfSlot(slot);
+      int v = static_cast<int>(slot - slot_base[k]);
+      if (!IsCandidate(k, v)) continue;
+      live.erase({cost_cache[slot], slot});
+      scoring_slot = slot;
+      double cost = CandidateCost(k, v);
+      ++evals;
+      // A NaN cost is never picked, like an infinite one; keying it as
+      // infinite keeps the set's ordering strict.
+      cost_cache[slot] = std::isnan(cost) ? kInf : cost;
+      live.emplace(cost_cache[slot], slot);
+    }
+    dirty.clear();
+    return evals;
+  }
+
   void Add(size_t k, int c) {
     bool was_candidate = IsCandidate(k, c);
     chosen[k][static_cast<size_t>(c)] = true;
     chosen_list[k].push_back(c);
     if (was_candidate) --remaining;
+    flipped.clear();
     for (const ViolationGraph::Edge& e : ctx->graphs[k].Neighbors(c)) {
       best_unit[k][static_cast<size_t>(e.to)] = std::min(
           best_unit[k][static_cast<size_t>(e.to)], e.unit_cost);
       if (blocked[k][static_cast<size_t>(e.to)]++ == 0 &&
           !chosen[k][static_cast<size_t>(e.to)]) {
         --remaining;  // freshly blocked
+        flipped.push_back(e.to);
+      }
+    }
+  }
+
+  // After the round's Add(k, c): drops c and the freshly blocked
+  // patterns from the live set and marks dirty exactly the candidates
+  // whose cost inputs changed (see SolveGreedyMulti).
+  void Invalidate(size_t k, int c) {
+    const ViolationGraph& graph = ctx->graphs[k];
+    const uint32_t base = slot_base[k];
+    live.erase({cost_cache[base + static_cast<uint32_t>(c)],
+                base + static_cast<uint32_t>(c)});
+    for (int y : flipped) {
+      const uint32_t entry = base + static_cast<uint32_t>(y);
+      live.erase({cost_cache[entry], entry});
+      std::vector<uint32_t>& list = readers[entry];
+      for (uint32_t slot : list) MarkDirty(slot);
+      Release(list.capacity() * sizeof(uint32_t));
+      std::vector<uint32_t>().swap(list);
+    }
+    for (const ViolationGraph::Edge& e : graph.Neighbors(c)) {
+      for (const ViolationGraph::Edge& t : graph.Neighbors(e.to)) {
+        if (IsCandidate(k, t.to)) {
+          MarkDirty(base + static_cast<uint32_t>(t.to));
+        }
       }
     }
   }
@@ -219,6 +388,7 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const RepairOptions& options,
                                          RepairStats* stats) {
   FTR_TRACE_SPAN("greedy.solve_multi");
+  SolveInstrument instrument;
   GreedyMultiState state;
   state.Init(context, options);
 
@@ -245,24 +415,16 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
     }
   }
 
-  // Flattened (fd, pattern) slot space for the round scan: slot order
-  // is exactly the serial loop's (k, v) lexicographic order, so a
-  // per-shard first-strict-minimum folded in ascending shard order
-  // reproduces the serial argmin bit for bit (CandidateCost is a pure
-  // function of the frozen round state, so every thread computes the
-  // identical double for a given slot).
-  std::vector<size_t> slot_base(state.num_fds + 1, 0);
-  for (size_t k = 0; k < state.num_fds; ++k) {
-    slot_base[k + 1] =
-        slot_base[k] + static_cast<size_t>(context.graphs[k].num_patterns());
-  }
-  const size_t total_slots = slot_base[state.num_fds];
-  constexpr size_t kSlotsPerShard = 256;
-  const int scan_threads = ResolveThreads(options.threads);
-
-  bool truncated = false;
+  // Each round picks the candidate with the smallest cost, ties to the
+  // smallest (fd, pattern) slot — the first strict minimum of a full
+  // scan in (k, v) order. Costs are cached in `live`, ordered by
+  // (cost, slot), and a round re-scores only the slots that the
+  // previous Add could have changed; CandidateCost is a pure function
+  // of the round state, so a cached cost whose inputs did not change
+  // equals a fresh one bit for bit.
+  bool truncated = state.remaining > 0 && !state.InitRounds();
   bool made_progress = false;
-  while (state.remaining > 0) {
+  while (!truncated && state.remaining > 0) {
     // Each round appends one (fd, pattern) choice and refreshes the
     // per-pattern best-unit costs it invalidates.
     if (!BudgetCharge(options.budget) ||
@@ -274,68 +436,26 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
       truncated = true;
       break;
     }
-    size_t best_fd = 0;
-    int best_pattern = -1;
-    double best_cost = kInf;
-    if (scan_threads > 1 && total_slots > kSlotsPerShard) {
-      const int num_shards = static_cast<int>(
-          (total_slots + kSlotsPerShard - 1) / kSlotsPerShard);
-      std::vector<std::pair<double, size_t>> shard_best(
-          static_cast<size_t>(num_shards), {kInf, 0});
-      ParallelFor(num_shards, scan_threads, [&](int s) {
-        size_t lo = static_cast<size_t>(s) * kSlotsPerShard;
-        size_t hi = std::min(lo + kSlotsPerShard, total_slots);
-        size_t k = static_cast<size_t>(
-                       std::upper_bound(slot_base.begin(), slot_base.end(),
-                                        lo) -
-                       slot_base.begin()) -
-                   1;
-        double best = kInf;
-        size_t best_slot = 0;
-        for (size_t slot = lo; slot < hi; ++slot) {
-          while (slot >= slot_base[k + 1]) ++k;
-          int v = static_cast<int>(slot - slot_base[k]);
-          if (!state.IsCandidate(k, v)) continue;
-          double cost = state.CandidateCost(k, v);
-          if (cost < best) {
-            best = cost;
-            best_slot = slot;
-          }
-        }
-        shard_best[static_cast<size_t>(s)] = {best, best_slot};
-      });
-      size_t best_slot = 0;
-      for (const auto& [cost, slot] : shard_best) {
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_slot = slot;
-        }
-      }
-      if (best_cost != kInf) {
-        best_fd = static_cast<size_t>(
-                      std::upper_bound(slot_base.begin(), slot_base.end(),
-                                       best_slot) -
-                      slot_base.begin()) -
-                  1;
-        best_pattern = static_cast<int>(best_slot - slot_base[best_fd]);
-      }
-    } else {
-      for (size_t k = 0; k < state.num_fds; ++k) {
-        for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
-          if (!state.IsCandidate(k, v)) continue;
-          double cost = state.CandidateCost(k, v);
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_fd = k;
-            best_pattern = v;
-          }
-        }
-      }
+    ++instrument.rounds;
+    instrument.cost_evals += state.Rescore();
+    if (state.charge_failed) {
+      // The reader log could not grow, so later invalidations may be
+      // missed: stop before trusting the cache again.
+      truncated = true;
+      break;
     }
-    if (best_pattern < 0) break;  // everything chosen or blocked
+    if (state.live.empty() || !(state.live.begin()->first < kInf)) {
+      break;  // no candidate with a finite cost is left
+    }
+    const uint32_t slot = state.live.begin()->second;
+    const size_t best_fd = state.FdOfSlot(slot);
+    const int best_pattern =
+        static_cast<int>(slot - state.slot_base[best_fd]);
     state.Add(best_fd, best_pattern);
+    state.Invalidate(best_fd, best_pattern);
     made_progress = true;
   }
+  state.Release(state.charged_bytes);
 
   if (truncated && !made_progress) {
     // Exhausted before the first candidate was chosen: there is no

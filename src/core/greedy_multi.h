@@ -19,6 +19,27 @@ namespace ftrepair {
 /// re-detection would need a fresh similarity join per candidate).
 /// Terminates when every phi-pattern is chosen or blocked, then joins
 /// the sets into targets and repairs (lines 7-9).
+///
+/// The round loop is incremental. Each candidate's cost is cached in a
+/// set ordered by (cost, slot), where the slot is the flattened
+/// (fd, pattern) index, so the set's minimum is the first strict
+/// minimum of a full scan in (fd, pattern) order. A cost reads only
+/// chosen[k] and best_unit[k] within 2 hops of the candidate in its own
+/// graph, plus `blocked[j] > 0` of other FDs' patterns. After Add(k, c)
+/// a round therefore re-scores exactly
+///   * the candidates within 2 hops of c in graph k (the chosen[k] and
+///     best_unit[k] entries that changed all lie next to c), and
+///   * the logged readers of every blocked[j] entry that went 0 -> 1.
+/// A read is logged only while the entry is 0 and its pattern is not
+/// chosen: blocked counts only grow, and a chosen pattern never becomes
+/// blocked inside the loop, so no other read can go stale. The cost is
+/// a pure function of those inputs, so a cached cost equals a fresh one
+/// bit for bit and the picks match a full rescan exactly.
+///
+/// The cache, the ordered set and the reader log are charged to
+/// MemPhase::kSolve; a failed charge truncates the loop like an
+/// exhausted budget. Publishes ftrepair.solve.greedy_rounds and
+/// ftrepair.solve.cost_evals.
 Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const DistanceModel& model,
                                          const RepairOptions& options,

@@ -18,9 +18,12 @@
 #include "common/metrics.h"
 #include "common/resource.h"
 #include "constraint/fd_parser.h"
+#include "core/greedy_multi.h"
 #include "core/repairer.h"
 #include "data/csv.h"
 #include "detect/violation_graph.h"
+#include "gen/error_injector.h"
+#include "gen/tax_gen.h"
 #include "test_util.h"
 
 namespace ftrepair {
@@ -333,6 +336,95 @@ TEST(MemoryChaosIndexTest, BlockedIndexUnderFaultSweepStaysClean) {
       EXPECT_TRUE(result.status().IsResourceExhausted())
           << result.status().ToString();
     }
+  }
+}
+
+// --- Greedy-M round state under a memory cap --------------------------
+//
+// Greedy-M charges its cost cache, ordered set and cross-FD reader
+// lists to the solve phase. After the up-front cache charge, nearly
+// all of the round loop's bytes are reader-list growth, so trip points
+// spread over the solve phase's bytes hit while the lists grow. Each
+// such run must stop picking from a cache whose invalidations went
+// unlogged and unwind cleanly: a truncated partial cover, or (the
+// target join is charged against the same exhausted budget) a
+// ResourceExhausted that sends the component down the ladder — never
+// a crash.
+
+TEST(MemoryChaosGreedyMultiTest, CapHitWhileReaderListsGrowDegrades) {
+  Dataset tax =
+      std::move(GenerateTax({.num_rows = 400, .seed = 11})).ValueOrDie();
+  Table dirty =
+      std::move(InjectErrors(tax.clean, tax.fds, NoiseOptions{}, nullptr))
+          .ValueOrDie();
+  DistanceModel model(dirty);
+  RepairOptions options;
+  options.algorithm = RepairAlgorithm::kGreedy;
+  options.w_l = tax.recommended_w_l;
+  options.w_r = tax.recommended_w_r;
+  options.tau_by_fd = tax.recommended_tau;
+  options.threads = 1;
+  // Built ungoverned, so every governed byte below is the solver's.
+  ComponentContext context = BuildComponentContext(
+      dirty, testing_util::LargestComponentFDs(tax.fds), model, options);
+  Counter* rounds = Metrics().GetCounter("ftrepair.solve.greedy_rounds");
+
+  uint64_t solve_bytes = 0;
+  {
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    RepairStats stats;
+    auto full = SolveGreedyMulti(context, model, options, &stats);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_FALSE(full.value().truncated);
+    solve_bytes = memory.charged_bytes(MemPhase::kSolve);
+  }
+  ASSERT_GT(solve_bytes, 0u);
+
+  int mid_loop_trips = 0;
+  for (uint64_t eighth = 1; eighth < 8; ++eighth) {
+    const uint64_t fault_bytes = solve_bytes * eighth / 8;
+    ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(fault_bytes));
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    RepairStats stats;
+    const uint64_t rounds_before = rounds->value();
+    auto result = SolveGreedyMulti(context, model, options, &stats);
+    EXPECT_TRUE(memory.Exhausted()) << "fault at " << fault_bytes;
+    if (rounds->value() - rounds_before > 1) ++mid_loop_trips;
+    if (result.ok()) {
+      EXPECT_TRUE(result.value().truncated) << "fault at " << fault_bytes;
+    } else {
+      EXPECT_TRUE(result.status().IsResourceExhausted())
+          << result.status().ToString();
+    }
+  }
+  EXPECT_GT(mid_loop_trips, 0) << "no trip point landed after round one";
+
+  // End to end, the same pressure degrades the repair instead of
+  // failing it: a trip anywhere in the run yields close-world-valid
+  // output with a recorded degradation, or a clean ResourceExhausted.
+  uint64_t run_bytes = 0;
+  {
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    ASSERT_TRUE(Repairer(options).Repair(dirty, tax.fds).ok());
+    run_bytes = memory.charged_total_bytes();
+  }
+  for (uint64_t eighth = 1; eighth < 8; ++eighth) {
+    const uint64_t fault_bytes = run_bytes * eighth / 8;
+    ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(fault_bytes));
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    auto result = Repairer(options).Repair(dirty, tax.fds);
+    if (!result.ok()) {
+      EXPECT_TRUE(result.status().IsResourceExhausted())
+          << result.status().ToString();
+      continue;
+    }
+    ExpectCloseWorldValid(dirty, result.value());
+    EXPECT_TRUE(result.value().stats.degraded())
+        << "fault at " << fault_bytes << " recorded no degradation";
   }
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/appro_multi.h"
 #include "core/expansion_multi.h"
 #include "core/greedy_multi.h"
 #include "detect/detector.h"
+#include "gen/error_injector.h"
+#include "gen/tax_gen.h"
 #include "test_util.h"
 
 namespace ftrepair {
@@ -99,6 +102,44 @@ TEST(GreedyMultiTest, OutputIsFTConsistent) {
                                c.options.FTFor(c.fds[k])))
         << c.fds[k].name();
   }
+}
+
+TEST(GreedyMultiTest, RoundsRescoreOnlyInvalidatedSlots) {
+  // A full rescan scores every live slot in every round; the
+  // incremental loop scores each slot once up front and then only the
+  // slots an Add invalidated. On this instance that is far below a
+  // quarter of rounds x slots, which a return to full rescans is not.
+  Dataset tax =
+      std::move(GenerateTax({.num_rows = 400, .seed = 11})).ValueOrDie();
+  Table dirty =
+      std::move(InjectErrors(tax.clean, tax.fds, NoiseOptions{}, nullptr))
+          .ValueOrDie();
+  DistanceModel model(dirty);
+  RepairOptions options;
+  options.w_l = tax.recommended_w_l;
+  options.w_r = tax.recommended_w_r;
+  options.tau_by_fd = tax.recommended_tau;
+  ComponentContext context = BuildComponentContext(
+      dirty, testing_util::LargestComponentFDs(tax.fds), model, options);
+  uint64_t slots = 0;
+  for (const ViolationGraph& graph : context.graphs) {
+    slots += static_cast<uint64_t>(graph.num_patterns());
+  }
+
+  Counter* rounds = Metrics().GetCounter("ftrepair.solve.greedy_rounds");
+  Counter* evals = Metrics().GetCounter("ftrepair.solve.cost_evals");
+  const uint64_t rounds_before = rounds->value();
+  const uint64_t evals_before = evals->value();
+  RepairStats stats;
+  ASSERT_TRUE(SolveGreedyMulti(context, model, options, &stats).ok());
+  const uint64_t num_rounds = rounds->value() - rounds_before;
+  const uint64_t num_evals = evals->value() - evals_before;
+
+  ASSERT_GT(context.fds.size(), 1u);
+  ASSERT_GT(num_rounds, 10u);
+  EXPECT_GT(num_evals, 0u);
+  EXPECT_LT(num_evals, num_rounds * slots / 4)
+      << num_rounds << " rounds over " << slots << " slots";
 }
 
 TEST(ApproMultiTest, OutputIsFTConsistent) {

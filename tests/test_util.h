@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "constraint/fd.h"
+#include "constraint/fd_graph.h"
 #include "constraint/fd_parser.h"
 #include "data/table.h"
 
@@ -88,6 +89,21 @@ inline std::vector<FD> CitizensFDs(const Schema& schema) {
                        "phi3: City, Street -> District\n",
                        schema))
       .ValueOrDie();
+}
+
+/// The FDs of the largest connected component of `fds` (the first
+/// such component on ties), as the pointers BuildComponentContext
+/// takes.
+inline std::vector<const FD*> LargestComponentFDs(
+    const std::vector<FD>& fds) {
+  FDGraph graph(fds);
+  std::vector<int> best;
+  for (const std::vector<int>& component : graph.Components()) {
+    if (component.size() > best.size()) best = component;
+  }
+  std::vector<const FD*> out;
+  for (int idx : best) out.push_back(&fds[static_cast<size_t>(idx)]);
+  return out;
 }
 
 /// A small random table over `num_cols` string columns where column 0
