@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "detect/block_index.h"
 #include "detect/pattern.h"
 #include "detect/threshold.h"
 #include "detect/violation_graph.h"
@@ -108,17 +109,27 @@ DetectIndexMode ModeArg(int64_t v) {
   return v == 0 ? DetectIndexMode::kAllPairs : DetectIndexMode::kBlocked;
 }
 
-// The tau > 0 q-gram path: h3 (ZipCode -> City) at tau = 0.2 with the
-// recommended weights, all-pairs vs blocked at 10k and 50k dirty rows
-// (acceptance: >= 5x candidate reduction at 50k). Single-threaded so
-// the sweep isolates the candidate generation, not the shard fan-out.
+// Blocked vs all-pairs graph builds on dirty HOSP slices, single-
+// threaded so the sweep isolates the candidate generation, not the
+// shard fan-out. Args: {rows, mode, fd index, tau in hundredths}, with
+// mode 0 = all-pairs, 1 = blocked, 2 = blocked with codes off (which
+// rules out the dictionary join, so the gram join runs where it can).
+//   * h3 (ZipCode -> City) at tau = 0.2: the gram join's home case
+//     (acceptance: >= 5x candidate reduction at 50k).
+//   * h1 (ProviderNumber -> HospitalName) and h6 (PhoneNumber ->
+//     ZipCode) at HOSP's recommended tau = 0.4: the gram join cannot
+//     engage on h1 and prunes little on h6; the dictionary join can.
+// The dictionary-join precedence rule (PERFORMANCE.md) is chosen from
+// these cases.
 void BM_ViolationGraphBuildIndex(benchmark::State& state) {
   const Dataset& ds = IndexDataset();
   Table slice = IndexDirtyTable().Head(static_cast<int>(state.range(0)));
-  const FD& fd = ds.fds[2];
+  const FD& fd = ds.fds[static_cast<size_t>(state.range(2))];
   DistanceModel model(slice);
-  FTOptions opts{ds.recommended_w_l, ds.recommended_w_r, 0.2, 1,
+  FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
+                 static_cast<double>(state.range(3)) / 100.0, 1,
                  ModeArg(state.range(1))};
+  opts.interned = state.range(1) != 2;
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(ViolationGraph::Build(patterns, fd, model, opts));
@@ -130,12 +141,27 @@ void BM_ViolationGraphBuildIndex(benchmark::State& state) {
       static_cast<double>(g.candidates_generated());
   state.counters["cand_verified"] =
       static_cast<double>(g.candidates_verified());
+  if (state.range(1) != 0) {
+    BlockIndex index(patterns, fd, model, opts);
+    state.counters["dictionary_join"] =
+        index.join() == BlockIndex::Join::kDictionary ? 1 : 0;
+    state.counters["code_pairs"] =
+        static_cast<double>(index.code_pairs_evaluated());
+  }
 }
 BENCHMARK(BM_ViolationGraphBuildIndex)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({50000, 0})
-    ->Args({50000, 1})
+    ->Args({10000, 0, 2, 20})
+    ->Args({10000, 1, 2, 20})
+    ->Args({10000, 2, 2, 20})
+    ->Args({50000, 0, 2, 20})
+    ->Args({50000, 1, 2, 20})
+    ->Args({50000, 2, 2, 20})
+    ->Args({20000, 0, 0, 40})
+    ->Args({20000, 1, 0, 40})
+    ->Args({20000, 2, 0, 40})
+    ->Args({20000, 0, 5, 40})
+    ->Args({20000, 1, 5, 40})
+    ->Args({20000, 2, 5, 40})
     ->Unit(benchmark::kMillisecond);
 
 // The tau = 0 exact-match bucket join under classical FD semantics:

@@ -118,6 +118,11 @@ class TraceSpan {
     }
   }
 
+  /// Adds an argument known only once the spanned work has run.
+  void AddArg(std::string key, std::string value) {
+    if (active_) args_.emplace_back(std::move(key), std::move(value));
+  }
+
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 

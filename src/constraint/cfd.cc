@@ -22,35 +22,27 @@ Result<CFD> CFD::Make(FD fd, std::vector<PatternRow> tableau,
 }
 
 bool CFD::MatchesLhs(const Row& row, int p) const {
-  const PatternRow& pat = tableau_[static_cast<size_t>(p)];
-  for (int i = 0; i < fd_.lhs_size(); ++i) {
-    const auto& cell = pat[static_cast<size_t>(i)];
-    if (!cell.has_value()) continue;
-    if (row[static_cast<size_t>(fd_.attrs()[static_cast<size_t>(i)])] !=
-        *cell) {
-      return false;
-    }
-  }
-  return true;
+  return MatchesRange(0, fd_.lhs_size(), p,
+                      [&](int col) -> const Value& {
+                        return row[static_cast<size_t>(col)];
+                      });
 }
 
 bool CFD::MatchesRhs(const Row& row, int p) const {
-  const PatternRow& pat = tableau_[static_cast<size_t>(p)];
-  for (int i = fd_.lhs_size(); i < fd_.num_attrs(); ++i) {
-    const auto& cell = pat[static_cast<size_t>(i)];
-    if (!cell.has_value()) continue;
-    if (row[static_cast<size_t>(fd_.attrs()[static_cast<size_t>(i)])] !=
-        *cell) {
-      return false;
-    }
-  }
-  return true;
+  return MatchesRange(fd_.lhs_size(), fd_.num_attrs(), p,
+                      [&](int col) -> const Value& {
+                        return row[static_cast<size_t>(col)];
+                      });
 }
 
+// The table scans below read only this CFD's own columns, cell by cell:
+// concurrent CFD groups repair disjoint columns of one shared table, so
+// a whole-row read would race with another group's writes.
 std::vector<int> CFD::ApplicableRows(const Table& table, int p) const {
   std::vector<int> out;
   for (int r = 0; r < table.num_rows(); ++r) {
-    if (MatchesLhs(table.row(r), p)) out.push_back(r);
+    auto cell = [&](int col) -> const Value& { return table.cell(r, col); };
+    if (MatchesRange(0, fd_.lhs_size(), p, cell)) out.push_back(r);
   }
   return out;
 }
@@ -58,8 +50,11 @@ std::vector<int> CFD::ApplicableRows(const Table& table, int p) const {
 std::vector<int> CFD::ConstantViolations(const Table& table, int p) const {
   std::vector<int> out;
   for (int r = 0; r < table.num_rows(); ++r) {
-    const Row& row = table.row(r);
-    if (MatchesLhs(row, p) && !MatchesRhs(row, p)) out.push_back(r);
+    auto cell = [&](int col) -> const Value& { return table.cell(r, col); };
+    if (MatchesRange(0, fd_.lhs_size(), p, cell) &&
+        !MatchesRange(fd_.lhs_size(), fd_.num_attrs(), p, cell)) {
+      out.push_back(r);
+    }
   }
   return out;
 }

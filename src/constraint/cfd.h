@@ -49,6 +49,21 @@ class CFD {
   std::vector<int> ConstantViolations(const Table& table, int p) const;
 
  private:
+  // True iff the cells `cell_of(col)` agree with every constant of
+  // tableau row `p` at attribute positions [lo, hi).
+  template <typename CellOf>
+  bool MatchesRange(int lo, int hi, int p, const CellOf& cell_of) const {
+    const PatternRow& pat = tableau_[static_cast<size_t>(p)];
+    for (int i = lo; i < hi; ++i) {
+      const auto& constant = pat[static_cast<size_t>(i)];
+      if (constant.has_value() &&
+          cell_of(fd_.attrs()[static_cast<size_t>(i)]) != *constant) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   FD fd_;
   std::vector<PatternRow> tableau_;
   std::string name_;

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/parallel.h"
+
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #endif
@@ -53,14 +55,15 @@ struct AttrStats {
   int max_len = 0;
 };
 
-// The join strategy MakePlan settles on; shared by the constructor and
-// the kAuto resolution so they can never disagree.
+// The join strategy MakePlan settles on, computed once per build.
 struct JoinPlan {
-  bool exact = false;
-  std::vector<int> key_attrs;
-  std::vector<bool> key_by_tostring;
-  int primary = -1;
-  std::vector<int> secondary;
+  BlockIndex::Join join = BlockIndex::Join::kAllPairs;
+  std::vector<int> key_attrs;         // exact join
+  std::vector<bool> key_by_tostring;  // exact join
+  int primary = -1;                   // gram join anchor
+  std::vector<int> secondary;         // gram-filtered attributes
+  std::vector<BlockIndex::CodeFilter> code_filters;  // anchor first
+  uint64_t code_pairs_evaluated = 0;
   // True when some filter is expected to actually prune; kAuto only
   // switches to the blocked join when this holds.
   bool worthwhile = false;
@@ -102,6 +105,112 @@ bool EditFaithful(const AttrStats& s) {
          (s.metric == ColumnMetric::kAuto && !s.has_number);
 }
 
+// Builds attribute p's dictionary-join filter: dense code classes with
+// their members, and every class pair admitted by
+// fl(w * CellDistance) <= tau. Returns false, pricing nothing, when the
+// attribute has more than `bound` distinct code pairs.
+bool BuildCodeFilter(const std::vector<Pattern>& patterns, const FD& fd,
+                     const DistanceModel& model, const FTOptions& opts,
+                     int p, double w, uint64_t bound,
+                     BlockIndex::CodeFilter* f, uint64_t* pairs_evaluated) {
+  const size_t pos = static_cast<size_t>(p);
+  f->class_of.resize(patterns.size());
+  std::unordered_map<uint32_t, int> class_of_code;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    auto [it, inserted] = class_of_code.emplace(
+        patterns[i].codes[pos], static_cast<int>(f->members.size()));
+    if (inserted) f->members.emplace_back();
+    f->members[static_cast<size_t>(it->second)].push_back(static_cast<int>(i));
+    f->class_of[i] = it->second;
+  }
+  const uint64_t d = f->members.size();
+  if (d * (d - 1) / 2 > bound) return false;
+  *pairs_evaluated += d * (d - 1) / 2;
+
+  // Equal codes are equal values, so any member carries the class's
+  // value. Each class pair is decided exactly like the first term of
+  // ProjDistanceCutoff: the capped kernel rejects when even its lower
+  // bound is over tau, and a clipped result that is not over tau is
+  // re-evaluated exactly.
+  const int col = fd.attrs()[pos];
+  const double tau = opts.tau;
+  const double cap = tau / w;
+  auto value_of = [&](size_t c) -> const Value& {
+    return patterns[static_cast<size_t>(f->members[c].front())].values[pos];
+  };
+  // One shard per class with its own output list, so the admitted
+  // pairs are the same at every thread count.
+  std::vector<std::vector<int>> upper(d);
+  ParallelFor(static_cast<int>(d), opts.threads, [&](int a) {
+    const Value& va = value_of(static_cast<size_t>(a));
+    for (size_t b = static_cast<size_t>(a) + 1; b < d; ++b) {
+      const Value& vb = value_of(b);
+      bool clipped = false;
+      double dist = model.CellDistanceCapped(col, va, vb, cap, &clipped);
+      if (w * dist > tau) continue;
+      if (clipped && w * model.CellDistance(col, va, vb) > tau) continue;
+      upper[static_cast<size_t>(a)].push_back(static_cast<int>(b));
+    }
+  });
+
+  // Symmetric neighbour lists, ascending: lower classes (appended in
+  // ascending order), the class itself, then its upper classes.
+  f->neighbours.assign(d, {});
+  uint64_t candidates = 0;
+  for (size_t a = 0; a < d; ++a) {
+    uint64_t ma = f->members[a].size();
+    candidates += ma * (ma - 1) / 2;
+    for (int b : upper[a]) {
+      f->neighbours[static_cast<size_t>(b)].push_back(static_cast<int>(a));
+      candidates += ma * f->members[static_cast<size_t>(b)].size();
+    }
+  }
+  for (size_t a = 0; a < d; ++a) {
+    f->neighbours[a].push_back(static_cast<int>(a));
+    f->neighbours[a].insert(f->neighbours[a].end(), upper[a].begin(),
+                            upper[a].end());
+  }
+  f->candidates = candidates;
+  return true;
+}
+
+// Plans the dictionary join (see the class comment): filters every
+// attribute with w > tau whose code pairs fit n(n-1)/8, and adopts the
+// join when the cheapest anchor's candidate count fits too. Returns
+// false, leaving the plan's join untouched, otherwise.
+bool PlanDictionaryJoin(const std::vector<Pattern>& patterns, const FD& fd,
+                        const DistanceModel& model, const FTOptions& opts,
+                        JoinPlan* plan) {
+  const uint64_t n = patterns.size();
+  if (!opts.interned || n < BlockIndex::kAutoMinPatterns) return false;
+  for (const Pattern& pat : patterns) {
+    if (!pat.has_codes()) return false;
+  }
+  const uint64_t bound = n * (n - 1) / 8;
+  std::vector<BlockIndex::CodeFilter> filters;
+  for (int p = 0; p < fd.num_attrs(); ++p) {
+    double w = p < fd.lhs_size() ? opts.w_l : opts.w_r;
+    if (!(w > opts.tau)) continue;
+    BlockIndex::CodeFilter f;
+    if (BuildCodeFilter(patterns, fd, model, opts, p, w, bound, &f,
+                        &plan->code_pairs_evaluated)) {
+      filters.push_back(std::move(f));
+    }
+  }
+  if (filters.empty()) return false;
+  size_t anchor = 0;
+  for (size_t k = 1; k < filters.size(); ++k) {
+    if (filters[k].candidates < filters[anchor].candidates) anchor = k;
+  }
+  if (filters[anchor].candidates > bound) return false;
+  std::rotate(filters.begin(), filters.begin() + static_cast<long>(anchor),
+              filters.begin() + static_cast<long>(anchor) + 1);
+  plan->code_filters = std::move(filters);
+  plan->join = BlockIndex::Join::kDictionary;
+  plan->worthwhile = true;
+  return true;
+}
+
 JoinPlan MakePlan(const std::vector<Pattern>& patterns, const FD& fd,
                   const DistanceModel& model, const FTOptions& opts) {
   JoinPlan plan;
@@ -113,7 +222,6 @@ JoinPlan MakePlan(const std::vector<Pattern>& patterns, const FD& fd,
     // tau = 0 (or negative, which admits nothing and verifies trivially):
     // bucket by every attribute whose distance is provably 0 iff its
     // bucket key matches.
-    plan.exact = true;
     for (int p = 0; p < num_attrs; ++p) {
       const AttrStats& s = stats[static_cast<size_t>(p)];
       if (!(s.w >= kMinKeyWeight)) continue;
@@ -126,6 +234,7 @@ JoinPlan MakePlan(const std::vector<Pattern>& patterns, const FD& fd,
       }
     }
     plan.worthwhile = !plan.key_attrs.empty();
+    if (plan.worthwhile) plan.join = BlockIndex::Join::kExact;
     return plan;
   }
 
@@ -142,11 +251,12 @@ JoinPlan MakePlan(const std::vector<Pattern>& patterns, const FD& fd,
     }
   }
   if (!plan.key_attrs.empty()) {
-    plan.exact = true;
+    plan.join = BlockIndex::Join::kExact;
     plan.worthwhile = true;
     plan.secondary = gram_eligible;
     return plan;
   }
+  if (PlanDictionaryJoin(patterns, fd, model, opts, &plan)) return plan;
 
   // Pick the gram anchor: the attribute whose count filter has the
   // largest threshold at the attribute's typical length (ties: heavier
@@ -183,7 +293,8 @@ JoinPlan MakePlan(const std::vector<Pattern>& patterns, const FD& fd,
   if (plan.primary < 0 && !gram_eligible.empty()) {
     plan.primary = gram_eligible.front();
   }
-  plan.exact = plan.primary < 0;  // degenerate: no filterable attribute
+  // No gram anchor: no filterable attribute, the plan stays all-pairs.
+  if (plan.primary >= 0) plan.join = BlockIndex::Join::kGram;
   plan.worthwhile = best_usable;
   for (int p : gram_eligible) {
     if (p != plan.primary) plan.secondary.push_back(p);
@@ -330,7 +441,12 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns, const FD& fd,
                        const DistanceModel& model, const FTOptions& opts) {
   n_ = static_cast<int>(patterns.size());
   memory_ = opts.memory;
+  const bool forced = opts.index != DetectIndexMode::kAuto;
+  if (!forced && n_ < kAutoMinPatterns) return;
   JoinPlan plan = MakePlan(patterns, fd, model, opts);
+  code_pairs_evaluated_ = plan.code_pairs_evaluated;
+  if (!forced && !plan.worthwhile) return;
+  join_ = plan.join;
   int lhs = fd.lhs_size();
   auto weight_of = [&](int p) { return p < lhs ? opts.w_l : opts.w_r; };
 
@@ -364,110 +480,77 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns, const FD& fd,
   };
 
   for (int p : plan.secondary) secondary_.push_back(make_filter(p));
-  if (plan.exact) {
-    num_key_attrs_ = static_cast<int>(plan.key_attrs.size());
-    bool coded = opts.interned && !plan.key_attrs.empty();
-    for (const Pattern& p : patterns) {
-      if (!p.has_codes()) {
-        coded = false;
-        break;
+  switch (join_) {
+    case Join::kAllPairs:
+      break;
+    case Join::kExact: {
+      bool coded = opts.interned;
+      for (const Pattern& p : patterns) {
+        if (!p.has_codes()) {
+          coded = false;
+          break;
+        }
       }
+      if (coded) {
+        BuildExactJoinCoded(patterns, plan.key_attrs, plan.key_by_tostring);
+      } else {
+        BuildExactJoin(patterns, plan.key_attrs, plan.key_by_tostring);
+      }
+      break;
     }
-    if (coded) {
-      BuildExactJoinCoded(patterns, plan.key_attrs, plan.key_by_tostring);
-    } else {
-      BuildExactJoin(patterns, plan.key_attrs, plan.key_by_tostring);
+    case Join::kDictionary: {
+      code_filters_ = std::move(plan.code_filters);
+      uint64_t bytes = 0;
+      for (const CodeFilter& f : code_filters_) {
+        bytes += f.class_of.size() * sizeof(int);
+        for (const std::vector<int>& m : f.members) {
+          bytes += sizeof(m) + m.size() * sizeof(int);
+        }
+        for (const std::vector<int>& nb : f.neighbours) {
+          bytes += sizeof(nb) + nb.size() * sizeof(int);
+        }
+      }
+      ChargeIndexBytes(bytes);
+      break;
     }
-  } else {
-    gram_primary_ = plan.primary;
-    primary_ = make_filter(plan.primary);
-    BuildGramJoin(patterns);
+    case Join::kGram:
+      primary_ = make_filter(plan.primary);
+      BuildGramJoin(patterns);
+      break;
   }
+}
+
+const char* BlockIndex::JoinName(Join join) {
+  switch (join) {
+    case Join::kAllPairs:
+      return "allpairs";
+    case Join::kExact:
+      return "exact";
+    case Join::kDictionary:
+      return "dictionary";
+    case Join::kGram:
+      return "gram";
+  }
+  return "?";
 }
 
 void BlockIndex::AppendCandidates(int i, Scratch* scratch,
                                   std::vector<int>* out) const {
   std::vector<int>& cand = scratch->cand;
   cand.clear();
-  if (exact_join()) {
-    if (num_key_attrs_ == 0) {
+  switch (join_) {
+    case Join::kAllPairs:
       for (int j = i + 1; j < n_; ++j) cand.push_back(j);
-    } else {
-      const std::vector<int>& members =
-          exact_buckets_[static_cast<size_t>(bucket_of_[static_cast<size_t>(i)])];
-      for (size_t r =
-               static_cast<size_t>(rank_in_bucket_[static_cast<size_t>(i)]) + 1;
-           r < members.size(); ++r) {
-        cand.push_back(members[r]);
-      }
-    }
-  } else {
-    int len_i = primary_.len[static_cast<size_t>(i)];
-    if (len_i < 0) {
-      // A null anchor is at distance 1 from every non-null anchor and
-      // the anchor weight exceeds tau, so only null-null pairs survive.
-      for (int j : null_ids_) {
-        if (j > i) cand.push_back(j);
-      }
-    } else {
-      const std::vector<GramRun>& runs = primary_.grams[static_cast<size_t>(i)];
-      for (const LenBucket& bucket : len_buckets_) {
-        int lmax = len_i > bucket.len ? len_i : bucket.len;
-        int k = primary_.kmax[static_cast<size_t>(lmax)];
-        if (std::abs(len_i - bucket.len) > k) continue;
-        int t = (lmax - kQ + 1) - k * kQ;
-        if (t <= 0) {
-          // The count filter cannot bite at these lengths; keep the
-          // whole bucket (the length filter above already passed).
-          for (int j : bucket.ids) {
-            if (j > i) cand.push_back(j);
-          }
-          continue;
-        }
-        // Accumulate shared-gram counts by rank within the bucket, so
-        // the accumulator is dense over [0, bn) and the threshold
-        // screen below can test one member per SIMD lane.
-        const int bn = static_cast<int>(bucket.ids.size());
-        if (scratch->shared.size() < static_cast<size_t>(bn)) {
-          scratch->shared.assign(static_cast<size_t>(bn), 0);
-        }
-        for (const GramRun& run : runs) {
-          auto it = bucket.postings.find(run.gram);
-          if (it == bucket.postings.end()) continue;
-          for (const std::pair<int, uint32_t>& posting : it->second) {
-            uint32_t& acc = scratch->shared[static_cast<size_t>(posting.first)];
-            if (acc == 0) scratch->touched.push_back(posting.first);
-            acc += run.count < posting.second ? run.count : posting.second;
-          }
-        }
-        // Screen: dense (vectorized over the whole bucket, then a
-        // dense reset — amortized by the touched density) when enough
-        // ranks were hit, sparse touched-walk otherwise. Both paths
-        // keep exactly the ranks with shared >= t; the global sort
-        // below makes the emission order identical either way.
-        if (scratch->touched.size() * 4 >= static_cast<size_t>(bn)) {
-          scratch->ranks.clear();
-          ScreenSharedCounts(scratch->shared.data(), bn,
-                             static_cast<uint32_t>(t), &scratch->ranks);
-          for (int r : scratch->ranks) {
-            int id = bucket.ids[static_cast<size_t>(r)];
-            if (id > i) cand.push_back(id);
-          }
-          std::fill_n(scratch->shared.begin(), bn, uint32_t{0});
-        } else {
-          for (int r : scratch->touched) {
-            if (scratch->shared[static_cast<size_t>(r)] >=
-                static_cast<uint32_t>(t)) {
-              int id = bucket.ids[static_cast<size_t>(r)];
-              if (id > i) cand.push_back(id);
-            }
-            scratch->shared[static_cast<size_t>(r)] = 0;
-          }
-        }
-        scratch->touched.clear();
-      }
-      std::sort(cand.begin(), cand.end());
-    }
+      break;
+    case Join::kExact:
+      AppendExactCandidates(i, &cand);
+      break;
+    case Join::kDictionary:
+      AppendDictionaryCandidates(i, &cand);
+      break;
+    case Join::kGram:
+      AppendGramCandidates(i, scratch, &cand);
+      break;
   }
   if (secondary_.empty()) {
     out->insert(out->end(), cand.begin(), cand.end());
@@ -475,6 +558,107 @@ void BlockIndex::AppendCandidates(int i, Scratch* scratch,
   }
   for (int j : cand) {
     if (!SecondaryPrune(i, j)) out->push_back(j);
+  }
+}
+
+void BlockIndex::AppendExactCandidates(int i, std::vector<int>* cand) const {
+  const std::vector<int>& members =
+      exact_buckets_[static_cast<size_t>(bucket_of_[static_cast<size_t>(i)])];
+  cand->insert(cand->end(),
+               members.begin() + rank_in_bucket_[static_cast<size_t>(i)] + 1,
+               members.end());
+}
+
+void BlockIndex::AppendDictionaryCandidates(int i,
+                                            std::vector<int>* cand) const {
+  const CodeFilter& anchor = code_filters_.front();
+  const size_t ii = static_cast<size_t>(i);
+  for (int c : anchor.neighbours[static_cast<size_t>(anchor.class_of[ii])]) {
+    const std::vector<int>& members = anchor.members[static_cast<size_t>(c)];
+    for (auto it = std::upper_bound(members.begin(), members.end(), i);
+         it != members.end(); ++it) {
+      const size_t jj = static_cast<size_t>(*it);
+      bool admitted = true;
+      for (size_t k = 1; k < code_filters_.size() && admitted; ++k) {
+        const CodeFilter& f = code_filters_[k];
+        const std::vector<int>& nb =
+            f.neighbours[static_cast<size_t>(f.class_of[ii])];
+        admitted = std::binary_search(nb.begin(), nb.end(), f.class_of[jj]);
+      }
+      if (admitted) cand->push_back(*it);
+    }
+  }
+  std::sort(cand->begin(), cand->end());
+}
+
+void BlockIndex::AppendGramCandidates(int i, Scratch* scratch,
+                                      std::vector<int>* out) const {
+  std::vector<int>& cand = *out;
+  int len_i = primary_.len[static_cast<size_t>(i)];
+  if (len_i < 0) {
+    // A null anchor is at distance 1 from every non-null anchor and
+    // the anchor weight exceeds tau, so only null-null pairs survive.
+    for (int j : null_ids_) {
+      if (j > i) cand.push_back(j);
+    }
+  } else {
+    const std::vector<GramRun>& runs = primary_.grams[static_cast<size_t>(i)];
+    for (const LenBucket& bucket : len_buckets_) {
+      int lmax = len_i > bucket.len ? len_i : bucket.len;
+      int k = primary_.kmax[static_cast<size_t>(lmax)];
+      if (std::abs(len_i - bucket.len) > k) continue;
+      int t = (lmax - kQ + 1) - k * kQ;
+      if (t <= 0) {
+        // The count filter cannot bite at these lengths; keep the
+        // whole bucket (the length filter above already passed).
+        for (int j : bucket.ids) {
+          if (j > i) cand.push_back(j);
+        }
+        continue;
+      }
+      // Accumulate shared-gram counts by rank within the bucket, so
+      // the accumulator is dense over [0, bn) and the threshold
+      // screen below can test one member per SIMD lane.
+      const int bn = static_cast<int>(bucket.ids.size());
+      if (scratch->shared.size() < static_cast<size_t>(bn)) {
+        scratch->shared.assign(static_cast<size_t>(bn), 0);
+      }
+      for (const GramRun& run : runs) {
+        auto it = bucket.postings.find(run.gram);
+        if (it == bucket.postings.end()) continue;
+        for (const std::pair<int, uint32_t>& posting : it->second) {
+          uint32_t& acc = scratch->shared[static_cast<size_t>(posting.first)];
+          if (acc == 0) scratch->touched.push_back(posting.first);
+          acc += run.count < posting.second ? run.count : posting.second;
+        }
+      }
+      // Screen: dense (vectorized over the whole bucket, then a
+      // dense reset — amortized by the touched density) when enough
+      // ranks were hit, sparse touched-walk otherwise. Both paths
+      // keep exactly the ranks with shared >= t; the global sort
+      // below makes the emission order identical either way.
+      if (scratch->touched.size() * 4 >= static_cast<size_t>(bn)) {
+        scratch->ranks.clear();
+        ScreenSharedCounts(scratch->shared.data(), bn,
+                           static_cast<uint32_t>(t), &scratch->ranks);
+        for (int r : scratch->ranks) {
+          int id = bucket.ids[static_cast<size_t>(r)];
+          if (id > i) cand.push_back(id);
+        }
+        std::fill_n(scratch->shared.begin(), bn, uint32_t{0});
+      } else {
+        for (int r : scratch->touched) {
+          if (scratch->shared[static_cast<size_t>(r)] >=
+              static_cast<uint32_t>(t)) {
+            int id = bucket.ids[static_cast<size_t>(r)];
+            if (id > i) cand.push_back(id);
+          }
+          scratch->shared[static_cast<size_t>(r)] = 0;
+        }
+      }
+      scratch->touched.clear();
+    }
+    std::sort(cand.begin(), cand.end());
   }
 }
 
@@ -499,17 +683,6 @@ bool BlockIndex::SecondaryPrune(int i, int j) const {
     }
   }
   return false;
-}
-
-DetectIndexMode BlockIndex::Choose(const std::vector<Pattern>& patterns,
-                                   const FD& fd, const DistanceModel& model,
-                                   const FTOptions& opts) {
-  if (static_cast<int>(patterns.size()) < kAutoMinPatterns) {
-    return DetectIndexMode::kAllPairs;
-  }
-  return MakePlan(patterns, fd, model, opts).worthwhile
-             ? DetectIndexMode::kBlocked
-             : DetectIndexMode::kAllPairs;
 }
 
 namespace {

@@ -25,7 +25,8 @@ namespace ftrepair {
 ///   attribute p, because IEEE addition of non-negative terms is
 ///   monotone (each partial sum is >= any single rounded term).
 ///
-/// Two join strategies, picked from (tau, weights, metrics, values):
+/// Three join strategies, planned once per build from (tau, weights,
+/// metrics, values, codes) and tried in this order:
 ///
 ///   * Exact bucket join. At tau = 0 a qualifying pair has d_p = 0 on
 ///     every positively-weighted attribute, so patterns are bucketed by
@@ -37,6 +38,21 @@ namespace ftrepair {
 ///     attribute has w > tau: any pair differing there is already past
 ///     tau. Only provably zero-distance-faithful attributes join the
 ///     key; everything else is left to the verification kernel.
+///
+///   * Dictionary join (tau > 0, every pattern coded, n >=
+///     kAutoMinPatterns). Every attribute with w_p > tau can reject a
+///     pair on its own, and d_p depends only on the two cells' codes.
+///     So each distinct code pair of such an attribute is decided once:
+///     admitted iff fl(w_p * d_p) <= tau, with d_p the exact
+///     CellDistance (a capped kernel call, re-run exactly when it was
+///     clipped but not over tau). This needs no metric-specific bound,
+///     so it holds for every ColumnMetric, for nulls and for text typos
+///     in numeric columns. The attribute with the fewest candidate
+///     pairs, sum C(m_a, 2) + sum over admitted (a, b) of m_a * m_b
+///     (m_a = patterns carrying code a), anchors the join; the other
+///     such attributes filter its candidates by neighbour-list lookup.
+///     It is used when that count is <= n(n-1)/8; attributes with more
+///     than n(n-1)/8 distinct code pairs are never evaluated.
 ///
 ///   * Gram join (tau > 0). Patterns are bucketed by the length L of
 ///     an anchor attribute's string. For a pair with lengths (La, Lb),
@@ -51,14 +67,20 @@ namespace ftrepair {
 ///     bucket. A null anchor only qualifies against other nulls (the
 ///     null distance is 1 and the anchor weight exceeds tau). The
 ///     remaining filter-eligible attributes apply the same two checks
-///     per surviving pair (secondary filters).
+///     per surviving pair (secondary filters). This is the join for
+///     patterns without codes, and for coded inputs where the
+///     dictionary join does not pay.
 ///
 /// Candidates are emitted in ascending j > i order, so a sharded build
 /// that replays them in i order reproduces the serial all-pairs edge
-/// order exactly. When no attribute supports any filter the index is
-/// degenerate() and emits every pair — correct, just not faster.
+/// order exactly. When no attribute supports any filter the join is
+/// Join::kAllPairs and a forced index emits every pair — correct, just
+/// not faster.
 class BlockIndex {
  public:
+  /// The candidate generator a build settled on.
+  enum class Join { kAllPairs, kExact, kDictionary, kGram };
+
   /// Per-caller query state, reused across AppendCandidates calls to
   /// avoid re-allocating the shared-gram accumulator (grown to the
   /// largest length bucket seen). `shared` is indexed by rank within
@@ -70,9 +92,14 @@ class BlockIndex {
     std::vector<int> cand;
   };
 
-  /// Builds the index over `patterns` (value vectors laid out over
-  /// `fd.attrs()`). The referenced patterns/model must outlive the
-  /// index; `opts` is snapshotted.
+  /// Plans the join for `patterns` (value vectors laid out over
+  /// `fd.attrs()`) and builds it. With `opts.index` == kAuto the index
+  /// is only built when the pattern count reaches kAutoMinPatterns and
+  /// the plan is expected to prune; otherwise join() is kAllPairs and
+  /// the caller should run the all-pairs join. Any other mode forces
+  /// the best sound plan (a kAllPairs index then emits every pair).
+  /// The referenced patterns/model must outlive the index; `opts` is
+  /// snapshotted.
   BlockIndex(const std::vector<Pattern>& patterns, const FD& fd,
              const DistanceModel& model, const FTOptions& opts);
 
@@ -82,31 +109,24 @@ class BlockIndex {
   /// with distinct Scratch objects.
   void AppendCandidates(int i, Scratch* scratch, std::vector<int>* out) const;
 
-  /// True when the exact bucket join is in use (otherwise gram join).
-  bool exact_join() const { return gram_primary_ < 0; }
-  /// attrs() position of the gram join's anchor attribute; -1 when the
-  /// exact join is in use.
-  int gram_primary() const { return gram_primary_; }
-  /// True when no attribute supports any filter: every i < j pair is a
-  /// candidate and the index degrades to the all-pairs join.
-  bool degenerate() const { return exact_join() && num_key_attrs_ == 0; }
+  /// The join in use.
+  Join join() const { return join_; }
+  /// "allpairs", "exact", "dictionary" or "gram".
+  static const char* JoinName(Join join);
+
+  /// Distinct code pairs the dictionary-join planner priced with the
+  /// distance kernel (0 when it did not run). Counted whether or not
+  /// the plan adopted the dictionary join.
+  uint64_t code_pairs_evaluated() const { return code_pairs_evaluated_; }
 
   /// True when `opts.memory` ran out while building the postings /
   /// buckets / filters. The index stays usable (sound, possibly less
   /// selective); the graph build sees the latched budget and truncates.
   bool memory_exhausted() const { return memory_exhausted_; }
 
-  /// Resolves DetectIndexMode::kAuto for this input: kBlocked when the
-  /// pattern count reaches kAutoMinPatterns and the analysis finds a
-  /// filter expected to prune (an exact-key attribute, or a gram anchor
-  /// whose count filter or length spread bites at typical lengths);
-  /// kAllPairs otherwise.
-  static DetectIndexMode Choose(const std::vector<Pattern>& patterns,
-                                const FD& fd, const DistanceModel& model,
-                                const FTOptions& opts);
-
   /// Below this pattern count kAuto always stays on the all-pairs join
-  /// (the index's setup cost wouldn't amortize).
+  /// (the index's setup cost wouldn't amortize), and the dictionary
+  /// join is never planned.
   static constexpr int kAutoMinPatterns = 256;
 
   /// q-gram width of the count filter.
@@ -117,6 +137,17 @@ class BlockIndex {
   struct GramRun {
     uint32_t gram;
     uint32_t count;
+  };
+
+  /// One attribute of the dictionary join (implementation detail,
+  /// public for the .cc's planner). Codes are renumbered densely in
+  /// first-appearance order ("classes").
+  struct CodeFilter {
+    std::vector<int> class_of;  // per pattern
+    std::vector<std::vector<int>> members;  // per class, ascending
+    // Per class: the admitted classes, ascending, itself included.
+    std::vector<std::vector<int>> neighbours;
+    uint64_t candidates = 0;  // pattern pairs this attribute admits
   };
 
  private:
@@ -151,14 +182,18 @@ class BlockIndex {
                            const std::vector<int>& key_attrs,
                            const std::vector<bool>& key_by_tostring);
   void BuildGramJoin(const std::vector<Pattern>& patterns);
+  void AppendExactCandidates(int i, std::vector<int>* cand) const;
+  void AppendDictionaryCandidates(int i, std::vector<int>* cand) const;
+  void AppendGramCandidates(int i, Scratch* scratch,
+                            std::vector<int>* out) const;
   bool SecondaryPrune(int i, int j) const;
   // Charges `bytes` of index structure against memory_ (when set),
   // recording exhaustion in memory_exhausted_.
   void ChargeIndexBytes(uint64_t bytes);
 
   int n_ = 0;
-  int num_key_attrs_ = 0;
-  int gram_primary_ = -1;
+  Join join_ = Join::kAllPairs;
+  uint64_t code_pairs_evaluated_ = 0;
   const MemoryBudget* memory_ = nullptr;  // not owned; from FTOptions
   bool memory_exhausted_ = false;
 
@@ -166,6 +201,9 @@ class BlockIndex {
   std::vector<int> bucket_of_;
   std::vector<int> rank_in_bucket_;
   std::vector<std::vector<int>> exact_buckets_;
+
+  // Dictionary join: the anchor first, then the secondary filters.
+  std::vector<CodeFilter> code_filters_;
 
   // Gram join: anchor data per pattern + length buckets + null bucket.
   AttrFilter primary_;

@@ -263,17 +263,26 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
     }
   }
 
-  DetectIndexMode mode = opts.index;
-  if (mode == DetectIndexMode::kAuto) {
-    mode = BlockIndex::Choose(g.patterns_, fd, model, opts);
-  }
-  g.index_mode_ = mode;
+  // kAuto keeps the all-pairs join on small inputs without planning,
+  // and whenever the planner finds no join expected to prune.
   std::unique_ptr<BlockIndex> index;
-  if (mode == DetectIndexMode::kBlocked) {
-    FTR_TRACE_SPAN("detect.block_index",
+  if (opts.index == DetectIndexMode::kBlocked ||
+      (opts.index == DetectIndexMode::kAuto &&
+       n >= BlockIndex::kAutoMinPatterns)) {
+    TraceSpan span("detect.block_index",
                    {{"fd", fd.name()}, {"patterns", std::to_string(n)}});
     index = std::make_unique<BlockIndex>(g.patterns_, fd, model, opts);
+    span.AddArg("join", BlockIndex::JoinName(index->join()));
+    static Counter* code_pairs =
+        Metrics().GetCounter("ftrepair.detect.code_pairs_evaluated");
+    code_pairs->Increment(index->code_pairs_evaluated());
+    if (opts.index == DetectIndexMode::kAuto &&
+        index->join() == BlockIndex::Join::kAllPairs) {
+      index.reset();
+    }
   }
+  g.index_mode_ =
+      index != nullptr ? DetectIndexMode::kBlocked : DetectIndexMode::kAllPairs;
 
   // Both joins run the identical per-candidate sequence — budget
   // charge, identical-projection skip, length lower bound, cutoff

@@ -22,9 +22,10 @@ enum class DetectIndexMode {
   /// Enumerate every i < j pattern pair (the historical join).
   kAllPairs,
   /// Generate candidates through a BlockIndex (detect/block_index.h):
-  /// an exact-match bucket join at tau = 0, a length-bucketed inverted
-  /// q-gram index at tau > 0. Every filter is sound, so the resulting
-  /// graph is bit-identical to the all-pairs build.
+  /// an exact-match bucket join at tau = 0, and at tau > 0 a dictionary
+  /// join over per-attribute code pairs or a length-bucketed inverted
+  /// q-gram index. Every filter is sound, so the resulting graph is
+  /// bit-identical to the all-pairs build.
   kBlocked,
 };
 

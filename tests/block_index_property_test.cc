@@ -11,14 +11,22 @@
 //   * determinism: thread counts and scratch reuse never change the
 //     graph.
 //
+// A second family drives the dictionary join, which needs coded
+// inputs with at least BlockIndex::kAutoMinPatterns patterns: wider
+// tables under every ColumnMetric, numeric columns holding text typos
+// and nulls, single- and two-attribute LHS, and taus placed exactly on
+// fl(w * d) for a realized code pair.
+//
 // Each TEST iterates many seeds so the whole file sweeps well over the
 // 1000-table floor while any failure prints the seed that caused it.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -408,6 +416,204 @@ TEST(BlockIndexPropertyTest, RandomFDTablesFromSharedHelper) {
     DistanceModel model(t);
     for (double tau : kTaus) {
       CheckInstance(t, model, 0.5, 0.5, tau, seed);
+    }
+  }
+}
+
+// --- the dictionary join ----------------------------------------------
+
+// Varied alphabet, so distinct bases stay far apart under every metric
+// and the per-attribute filters have something to reject.
+constexpr char kWideAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789";
+
+std::string WideString(Rng* rng, int min_len, int max_len) {
+  int len = min_len + static_cast<int>(rng->Uniform(
+                          static_cast<uint64_t>(max_len - min_len + 1)));
+  std::string s;
+  for (int i = 0; i < len; ++i) {
+    s.push_back(kWideAlphabet[rng->Uniform(sizeof(kWideAlphabet) - 1)]);
+  }
+  return s;
+}
+
+// Columns A (clustered strings, some multi-token), N (numbers with text
+// typos and nulls) and C (clustered strings with nulls). 420 rows give
+// every FD below well over kAutoMinPatterns distinct projections.
+Table DictionaryTable(uint64_t seed) {
+  Rng rng(seed);
+  Schema schema({{"A", ValueType::kString},
+                 {"N", ValueType::kNumber},
+                 {"C", ValueType::kString}});
+  std::vector<std::string> bases_a, bases_c;
+  for (int i = 0; i < 14; ++i) {
+    std::string base = WideString(&rng, 5, 9);
+    if (i % 3 == 0) base += " " + WideString(&rng, 2, 4);  // two tokens
+    bases_a.push_back(base);
+  }
+  for (int i = 0; i < 10; ++i) bases_c.push_back(WideString(&rng, 4, 8));
+  Table t(schema);
+  for (int r = 0; r < 420; ++r) {
+    Row row;
+    row.push_back(Value(Mutate(
+        &rng, bases_a[rng.Uniform(bases_a.size())],
+        rng.UniformDouble() < 0.4 ? 1 + static_cast<int>(rng.Uniform(2))
+                                  : 0)));
+    double roll = rng.UniformDouble();
+    int num = static_cast<int>(rng.Uniform(40));
+    if (roll < 0.05) {
+      row.push_back(Value());
+    } else if (roll < 0.15) {
+      row.push_back(Value(std::to_string(num) + "o"));  // text typo
+    } else {
+      row.push_back(Value(static_cast<double>(num)));
+    }
+    if (rng.UniformDouble() < 0.05) {
+      row.push_back(Value());
+    } else {
+      row.push_back(Value(Mutate(
+          &rng, bases_c[rng.Uniform(bases_c.size())],
+          static_cast<int>(rng.Uniform(2)))));
+    }
+    EXPECT_TRUE(t.AppendRow(std::move(row)).ok());
+  }
+  return t;
+}
+
+std::vector<FD> DictionaryFDs() {
+  return {std::move(FD::Make({0}, {2}, "a_c")).ValueOrDie(),
+          std::move(FD::Make({0, 1}, {2}, "an_c")).ValueOrDie(),
+          std::move(FD::Make({1}, {2}, "n_c")).ValueOrDie()};
+}
+
+// Every candidate pair the index emits, as (i, j) with i < j.
+std::set<std::pair<int, int>> IndexCandidates(const BlockIndex& index,
+                                              int n) {
+  std::set<std::pair<int, int>> out;
+  BlockIndex::Scratch scratch;
+  for (int i = 0; i < n; ++i) {
+    std::vector<int> cand;
+    index.AppendCandidates(i, &scratch, &cand);
+    for (int j : cand) out.emplace(i, j);
+  }
+  return out;
+}
+
+// Full dictionary-join check of one instance; returns the join the
+// forced index planned.
+BlockIndex::Join CheckDictionaryInstance(const Table& t, const FD& fd,
+                                         const DistanceModel& model,
+                                         double w_l, double w_r, double tau,
+                                         const std::string& what) {
+  std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
+  int n = static_cast<int>(patterns.size());
+  EXPECT_GE(n, BlockIndex::kAutoMinPatterns) << what;
+  std::string want = Fingerprint(ViolationGraph::Build(
+      patterns, fd, model,
+      FTOptions{w_l, w_r, tau, 1, DetectIndexMode::kAllPairs}));
+  for (int threads : {1, 4}) {
+    ViolationGraph g = ViolationGraph::Build(
+        patterns, fd, model,
+        FTOptions{w_l, w_r, tau, threads, DetectIndexMode::kBlocked});
+    EXPECT_EQ(want, Fingerprint(g)) << what << " threads=" << threads;
+    CheckInvariants(g, 0);
+  }
+  BlockIndex index(patterns, fd, model,
+                   FTOptions{w_l, w_r, tau, 1, DetectIndexMode::kBlocked});
+  std::set<std::pair<int, int>> cand = IndexCandidates(index, n);
+  for (const auto& e : OracleEdges(patterns, fd, model, w_l, w_r, tau)) {
+    EXPECT_TRUE(cand.count(e)) << what << " join="
+                               << BlockIndex::JoinName(index.join())
+                               << " missed edge " << e.first << "-"
+                               << e.second;
+  }
+  return index.join();
+}
+
+const ColumnMetric kAllMetrics[] = {
+    ColumnMetric::kAuto,        ColumnMetric::kEdit,
+    ColumnMetric::kEuclidean,   ColumnMetric::kJaccard,
+    ColumnMetric::kJaroWinkler, ColumnMetric::kQGramCosine,
+    ColumnMetric::kDiscrete};
+
+TEST(BlockIndexPropertyTest, DictionaryJoinEveryMetricMatchesAllPairs) {
+  // Each metric on the LHS string column A, with non-discrete metrics
+  // rotating over N and C, through single- and two-attribute LHS at
+  // HOSP-like and balanced weights.
+  const size_t num_metrics = sizeof(kAllMetrics) / sizeof(kAllMetrics[0]);
+  const size_t non_discrete = num_metrics - 1;  // kDiscrete comes last
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    Table t = DictionaryTable(seed);
+    for (size_t m = 0; m < num_metrics; ++m) {
+      ColumnMetric a_metric = kAllMetrics[m];
+      DistanceModel model(t);
+      model.SetColumnMetric(0, a_metric);
+      model.SetColumnMetric(1, kAllMetrics[(m + seed) % non_discrete]);
+      model.SetColumnMetric(2, kAllMetrics[(m + 3) % non_discrete]);
+      int dictionary_joins_on_a = 0;
+      for (const FD& fd : DictionaryFDs()) {
+        for (const auto& [w_l, w_r, tau] :
+             {std::tuple{0.7, 0.3, 0.2}, std::tuple{0.6, 0.4, 0.35}}) {
+          std::ostringstream what;
+          what << "seed=" << seed << " metric=" << m << " fd=" << fd.name()
+               << " tau=" << tau;
+          BlockIndex::Join join =
+              CheckDictionaryInstance(t, fd, model, w_l, w_r, tau, what.str());
+          if (fd.attrs()[0] != 0) continue;  // A is not in this FD
+          if (a_metric == ColumnMetric::kDiscrete) {
+            // A discrete attribute with w > tau is an exact key, which
+            // takes precedence over the dictionary join.
+            EXPECT_EQ(join, BlockIndex::Join::kExact) << what.str();
+          } else if (join == BlockIndex::Join::kDictionary) {
+            ++dictionary_joins_on_a;
+          }
+        }
+      }
+      if (a_metric != ColumnMetric::kDiscrete) {
+        EXPECT_GT(dictionary_joins_on_a, 0) << "seed=" << seed
+                                            << " metric=" << m;
+      }
+    }
+  }
+}
+
+TEST(BlockIndexPropertyTest, DictionaryJoinTauOnExactBoundary) {
+  // tau = fl(w * d) for a realized code pair of the anchor attribute:
+  // that pair sits exactly on the admit/reject line. Also one ulp
+  // below, where it must be rejected, and one above.
+  for (uint64_t seed = 11; seed <= 12; ++seed) {
+    Table t = DictionaryTable(seed);
+    for (ColumnMetric metric :
+         {ColumnMetric::kAuto, ColumnMetric::kJaroWinkler,
+          ColumnMetric::kQGramCosine, ColumnMetric::kEuclidean}) {
+      DistanceModel model(t);
+      model.SetColumnMetric(0, metric);
+      model.SetColumnMetric(1, metric);
+      int dictionary_joins = 0;
+      for (const FD& fd : DictionaryFDs()) {
+        int col = fd.attrs()[0];
+        // The closest distinct pair among the first rows' values.
+        double d = 1.0;
+        for (int r = 1; r < 40; ++r) {
+          double x = model.CellDistance(col, t.cell(0, col), t.cell(r, col));
+          if (x > 0 && x < d) d = x;
+        }
+        const double w_l = 0.75;
+        const double on = w_l * d;
+        for (double tau :
+             {on, std::nextafter(on, 0.0), std::nextafter(on, 1.0)}) {
+          if (!(tau < w_l)) continue;
+          std::ostringstream what;
+          what << "seed=" << seed << " metric=" << static_cast<int>(metric)
+               << " fd=" << fd.name() << " tau=" << std::hexfloat << tau;
+          if (CheckDictionaryInstance(t, fd, model, w_l, 1.0 - w_l, tau,
+                                      what.str()) ==
+              BlockIndex::Join::kDictionary) {
+            ++dictionary_joins;
+          }
+        }
+      }
+      EXPECT_GT(dictionary_joins, 0)
+          << "seed=" << seed << " metric=" << static_cast<int>(metric);
     }
   }
 }

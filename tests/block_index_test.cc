@@ -288,18 +288,66 @@ TEST(BlockIndexTest, AutoPicksBlockedOnLargeSelectiveInput) {
 }
 
 TEST(BlockIndexTest, AutoFallsBackWhenNoSoundFilterExists) {
-  // Jaccard columns support neither the exact key nor the q-gram
-  // filter, so auto must refuse the index no matter the table size.
-  Table t = HospSlice(1500);
-  std::vector<FD> fds = HospFDs(1500);
+  // No attribute can reject a pair alone when every weight is <= tau,
+  // so on a table past kAutoMinPatterns auto must refuse the index
+  // (Jaccard columns keep the gram join out as well).
+  Table t = HospSlice(4000);
+  std::vector<FD> fds = HospFDs(4000);
   DistanceModel model(t);
   const FD& fd = fds[2];
+  ASSERT_GE(static_cast<int>(BuildPatterns(t, fd.attrs()).size()),
+            BlockIndex::kAutoMinPatterns);
   for (int col : fd.attrs()) {
     model.SetColumnMetric(col, ColumnMetric::kJaccard);
   }
   ViolationGraph g =
-      BuildMode(t, fd, model, 0.7, 0.3, 0.2, DetectIndexMode::kAuto);
+      BuildMode(t, fd, model, 0.4, 0.3, 0.4, DetectIndexMode::kAuto);
   EXPECT_EQ(g.index_mode(), DetectIndexMode::kAllPairs);
+}
+
+TEST(BlockIndexTest, DictionaryJoinPrunesAtHospWeights) {
+  // h1 (ProviderNumber -> HospitalName) at HOSP's recommended weights
+  // and tau: no exact key, and provider numbers are too short for the
+  // gram join's count filter, so before the dictionary join auto ran
+  // all-pairs here. Auto must now generate <= 5% of all pairs and
+  // still match the all-pairs graph byte for byte.
+  Table t = HospSlice(4000);
+  std::vector<FD> fds = HospFDs(4000);
+  DistanceModel model(t);
+  const FD& fd = fds[0];
+  std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
+  uint64_t n = patterns.size();
+  ASSERT_GE(n, static_cast<uint64_t>(BlockIndex::kAutoMinPatterns));
+  FTOptions opts{0.7, 0.3, 0.4, 1, DetectIndexMode::kAuto};
+  EXPECT_EQ(BlockIndex(patterns, fd, model, opts).join(),
+            BlockIndex::Join::kDictionary);
+  std::string want = Fingerprint(
+      BuildMode(t, fd, model, 0.7, 0.3, 0.4, DetectIndexMode::kAllPairs));
+  for (int threads : {1, 2, 4, 8}) {
+    ViolationGraph g = BuildMode(t, fd, model, 0.7, 0.3, 0.4,
+                                 DetectIndexMode::kAuto, threads);
+    EXPECT_EQ(g.index_mode(), DetectIndexMode::kBlocked);
+    EXPECT_LE(g.candidates_generated() * 20, n * (n - 1) / 2)
+        << "generated=" << g.candidates_generated() << " patterns=" << n;
+    EXPECT_EQ(want, Fingerprint(g)) << "threads=" << threads;
+    CheckAccounting(g);
+  }
+}
+
+TEST(BlockIndexTest, DictionaryJoinFeedsCodePairCounter) {
+  Table t = HospSlice(4000);
+  std::vector<FD> fds = HospFDs(4000);
+  DistanceModel model(t);
+  Counter* code_pairs =
+      Metrics().GetCounter("ftrepair.detect.code_pairs_evaluated");
+  std::vector<Pattern> patterns = BuildPatterns(t, fds[0].attrs());
+  FTOptions opts{0.7, 0.3, 0.4, 1, DetectIndexMode::kAuto};
+  uint64_t want = BlockIndex(patterns, fds[0], model, opts)
+                      .code_pairs_evaluated();
+  EXPECT_GT(want, 0u);
+  uint64_t before = code_pairs->value();
+  ViolationGraph::Build(patterns, fds[0], model, opts);
+  EXPECT_EQ(code_pairs->value() - before, want);
 }
 
 TEST(BlockIndexTest, ForcedBlockedWithoutFiltersStillIdentical) {
