@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/budget.h"
 #include "common/status.h"
@@ -138,6 +139,51 @@ inline bool MemCharge(const MemoryBudget* memory, uint64_t bytes,
                       MemPhase phase = MemPhase::kOther) {
   return memory == nullptr || memory->TryCharge(bytes, phase);
 }
+
+/// \brief The bytes one structure has charged, released from resident
+/// occupancy when the structure goes away.
+///
+/// Every successful Charge() adds to the held total; destruction (or
+/// Reset()) returns that total through MemoryBudget::Release, so a
+/// freed structure stops counting toward the watermarks. Cumulative
+/// accounting (charged_total_bytes, the per-phase totals, the fault
+/// seam) is unaffected. Move-only; null-safe like MemCharge.
+class MemoryCharges {
+ public:
+  explicit MemoryCharges(const MemoryBudget* memory = nullptr)
+      : memory_(memory) {}
+  MemoryCharges(MemoryCharges&& other) noexcept
+      : memory_(other.memory_), bytes_(std::exchange(other.bytes_, 0)) {}
+  MemoryCharges& operator=(MemoryCharges&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      memory_ = other.memory_;
+      bytes_ = std::exchange(other.bytes_, 0);
+    }
+    return *this;
+  }
+  ~MemoryCharges() { Reset(); }
+
+  /// MemCharge that remembers a successful charge for release.
+  bool Charge(uint64_t bytes, MemPhase phase) {
+    if (memory_ == nullptr) return true;
+    if (!memory_->TryCharge(bytes, phase)) return false;
+    bytes_ += bytes;
+    return true;
+  }
+
+  /// Releases everything held so far.
+  void Reset() {
+    if (memory_ != nullptr && bytes_ > 0) memory_->Release(bytes_);
+    bytes_ = 0;
+  }
+
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  const MemoryBudget* memory_;
+  uint64_t bytes_ = 0;
+};
 
 inline bool MemExhausted(const MemoryBudget* memory) {
   return memory != nullptr && memory->Exhausted();

@@ -88,9 +88,11 @@ struct CombinationSearch {
       if (tree_result.status().IsNotFound()) return Status::OK();  // no join
       return tree_result.status();
     }
-    TargetTree tree = std::move(tree_result).value();
+    const TargetTree& tree = tree_result.value();
 
-    double cost = 0;
+    // Price every pattern the combination leaves out in one table.
+    std::vector<size_t> dirty;
+    std::vector<const std::vector<Value>*> queries;
     for (size_t i = 0; i < context->sigma_patterns.size(); ++i) {
       bool all_member = true;
       for (size_t k = 0; k < num_fds && all_member; ++k) {
@@ -98,15 +100,24 @@ struct CombinationSearch {
             member[k][static_cast<size_t>(context->phi_of_sigma[k][i])];
       }
       if (all_member) continue;
+      dirty.push_back(i);
+      queries.push_back(&context->sigma_patterns[i].values);
+    }
+    auto table = TargetDistances::Build(
+        context->component_cols, tree.position_values(), queries, *model,
+        options->threads, options->budget, options->memory);
+    if (!table.ok()) return table.status();
+
+    double cost = 0;
+    for (size_t d = 0; d < dirty.size(); ++d) {
       double c = 0;
       TargetTree::SearchStats search_stats;
-      tree.FindBest(context->sigma_patterns[i].values, *model, &c,
-                    &search_stats);
+      tree.FindBest(table.value(), d, &c, &search_stats);
       if (stats != nullptr) {
         stats->target_nodes_visited += search_stats.nodes_visited;
         stats->target_nodes_pruned += search_stats.nodes_pruned;
       }
-      cost += context->sigma_patterns[i].count() * c;
+      cost += context->sigma_patterns[dirty[d]].count() * c;
       if (cost >= best_cost) return Status::OK();  // early abort
     }
     if (cost < best_cost) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -29,12 +28,12 @@ size_t HashValues(const std::vector<Value>& values,
 
 }  // namespace
 
-size_t LazyTargetSearch::BackKey(const Level& level,
-                                 const std::vector<Value>& assignment) const {
+size_t LazyTargetSearch::BackKey(
+    const Level& level, const std::vector<uint32_t>& assignment) const {
   size_t h = 14695981039346656037ULL;
   for (int a : level.back_attr) {
     int pos = level.attr_pos[static_cast<size_t>(a)];
-    h = HashCombine(h, assignment[static_cast<size_t>(pos)].Hash());
+    h = HashCombine(h, assignment[static_cast<size_t>(pos)]);
   }
   return h;
 }
@@ -118,16 +117,19 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
   }
 
   // --- Level construction. ---
+  // Each position's values are interned, ascending, from its fixing
+  // level; elements are laid out as ids into them.
   std::vector<bool> fixed(static_cast<size_t>(width), false);
   search.levels_.resize(num_levels);
   search.position_values_.assign(static_cast<size_t>(width), {});
   for (size_t l = 0; l < num_levels; ++l) {
     Level& level = search.levels_[l];
     level.fd = inputs[l].fd;
+    std::vector<const std::vector<Value>*> elements;
     for (size_t e = 0; e < inputs[l].elements.size(); ++e) {
-      if (viable[l][e]) level.elements.push_back(inputs[l].elements[e]);
+      if (viable[l][e]) elements.push_back(&inputs[l].elements[e]);
     }
-    if (level.elements.empty()) {
+    if (elements.empty()) {
       return Status::NotFound("target join is empty");
     }
     for (size_t a = 0; a < level.fd->attrs().size(); ++a) {
@@ -142,22 +144,42 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
         level.back_attr.push_back(static_cast<int>(a));
       } else {
         fixed[static_cast<size_t>(it->second)] = true;
-        level.fixed_pos.push_back(it->second);
-        // Collect distinct values for the global EDIST bound.
-        std::set<Value> distinct;
-        for (const auto& elem : level.elements) distinct.insert(elem[a]);
-        search.position_values_[static_cast<size_t>(it->second)]
-            .assign(distinct.begin(), distinct.end());
+        level.fixed_attr.push_back(static_cast<int>(a));
+        std::vector<Value>& values =
+            search.position_values_[static_cast<size_t>(it->second)];
+        for (const std::vector<Value>* elem : elements) {
+          values.push_back((*elem)[a]);
+        }
+        std::sort(values.begin(), values.end());
+        values.erase(std::unique(values.begin(), values.end()), values.end());
       }
     }
-    // Index elements by their back-shared projection (same combine as
-    // BackKey — the lookups must land in the same buckets).
-    for (size_t e = 0; e < level.elements.size(); ++e) {
-      size_t h = 14695981039346656037ULL;
-      for (int a : level.back_attr) {
-        h = HashCombine(h, level.elements[e][static_cast<size_t>(a)].Hash());
+    // Lay elements out as ids and index them by their back-shared
+    // projection (same combine as BackKey — the lookups must land in
+    // the same buckets). An element with a back value the fixing level
+    // lacks agrees with no path: it stays unindexed, its ids unread.
+    for (size_t e = 0; e < elements.size(); ++e) {
+      std::vector<uint32_t> ids(level.attr_pos.size());
+      bool indexable = true;
+      for (size_t a = 0; a < ids.size(); ++a) {
+        const std::vector<Value>& values = search.position_values_[
+            static_cast<size_t>(level.attr_pos[a])];
+        auto vit = std::lower_bound(values.begin(), values.end(),
+                                    (*elements[e])[a]);
+        if (vit == values.end() || *vit != (*elements[e])[a]) {
+          indexable = false;
+          continue;
+        }
+        ids[a] = static_cast<uint32_t>(vit - values.begin());
       }
-      level.index[h].push_back(static_cast<int>(e));
+      if (indexable) {
+        size_t h = 14695981039346656037ULL;
+        for (int a : level.back_attr) {
+          h = HashCombine(h, ids[static_cast<size_t>(a)]);
+        }
+        level.index[h].push_back(static_cast<int>(e));
+      }
+      level.elements.push_back(std::move(ids));
     }
   }
   for (int p = 0; p < width; ++p) {
@@ -166,21 +188,13 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
           "component column covered by no FD in the target search");
     }
   }
-  // Suffix position lists for EDIST.
-  search.suffix_positions_.assign(num_levels + 1, {});
-  for (size_t l = num_levels; l-- > 0;) {
-    search.suffix_positions_[l] = search.suffix_positions_[l + 1];
-    for (int p : search.levels_[l].fixed_pos) {
-      search.suffix_positions_[l].push_back(p);
-    }
-  }
   return search;
 }
 
 LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
-    const std::vector<Value>& tuple_proj, const DistanceModel& model,
-    uint64_t max_visits, TargetTree::SearchStats* stats,
-    const Budget* budget, const MemoryBudget* memory) const {
+    const TargetDistances& distances, size_t query, uint64_t max_visits,
+    TargetTree::SearchStats* stats, const Budget* budget,
+    const MemoryBudget* memory) const {
   QueryResult result;
   size_t num_levels = levels_.size();
   int width = static_cast<int>(component_cols_.size());
@@ -188,11 +202,11 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
   // Per-position global lower bounds for this tuple.
   std::vector<double> pos_lb(static_cast<size_t>(width), 0);
   for (int p = 0; p < width; ++p) {
+    const double* row = distances.Row(query, p);
     double best = 1.0;
-    for (const Value& v : position_values_[static_cast<size_t>(p)]) {
-      best = std::min(best, model.CellDistance(component_cols_[
-                                static_cast<size_t>(p)],
-                                tuple_proj[static_cast<size_t>(p)], v));
+    for (size_t id = 0; id < position_values_[static_cast<size_t>(p)].size();
+         ++id) {
+      best = std::min(best, row[id]);
       if (best == 0) break;
     }
     pos_lb[static_cast<size_t>(p)] = best;
@@ -201,8 +215,10 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
   std::vector<double> edist_suffix(num_levels + 1, 0);
   for (size_t l = num_levels; l-- > 0;) {
     edist_suffix[l] = edist_suffix[l + 1];
-    for (int p : levels_[l].fixed_pos) {
-      edist_suffix[l] += pos_lb[static_cast<size_t>(p)];
+    const Level& level = levels_[l];
+    for (int a : level.fixed_attr) {
+      edist_suffix[l] += pos_lb[static_cast<size_t>(
+          level.attr_pos[static_cast<size_t>(a)])];
     }
   }
 
@@ -229,18 +245,19 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
   uint64_t order_counter = 0;
   queue.push(Entry{edist_suffix[0], 0.0, 0, order_counter++});
 
+  MemoryCharges arena_charges(memory);
   double c_min = ViolationGraph::kInfinity;
   int best_leaf = -1;
   uint64_t visits = 0;
 
-  // Reconstructs the partial assignment of a node's path.
-  std::vector<Value> assignment(static_cast<size_t>(width));
+  // Reconstructs the partial assignment (value ids) of a node's path.
+  std::vector<uint32_t> assignment(static_cast<size_t>(width));
   auto fill_assignment = [&](int node_id) {
     int cur = node_id;
     while (cur > 0) {
       const Node& n = arena[static_cast<size_t>(cur)];
       const Level& level = levels_[static_cast<size_t>(n.level)];
-      const std::vector<Value>& elem =
+      const std::vector<uint32_t>& elem =
           level.elements[static_cast<size_t>(n.elem)];
       for (size_t a = 0; a < level.attr_pos.size(); ++a) {
         assignment[static_cast<size_t>(level.attr_pos[a])] = elem[a];
@@ -257,8 +274,8 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
       continue;
     }
     if (++visits > max_visits || !BudgetCharge(budget) ||
-        !MemCharge(memory, sizeof(Node) + sizeof(Entry),
-                   MemPhase::kTargets)) {
+        !arena_charges.Charge(sizeof(Node) + sizeof(Entry),
+                              MemPhase::kTargets)) {
       result.truncated = true;
       break;
     }
@@ -276,7 +293,7 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
     auto it = level.index.find(key);
     if (it == level.index.end()) continue;  // dead end
     for (int e : it->second) {
-      const std::vector<Value>& elem =
+      const std::vector<uint32_t>& elem =
           level.elements[static_cast<size_t>(e)];
       // Verify actual agreement (the key is only a hash).
       bool agrees = true;
@@ -289,18 +306,12 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
         }
       }
       if (!agrees) continue;
+      // Only positions first fixed here contribute (back-shared ones
+      // were already priced by the fixing level).
       double rdist = top.rdist;
-      for (size_t a = 0; a < level.attr_pos.size(); ++a) {
-        int pos = level.attr_pos[a];
-        // Only positions first fixed here contribute (back-shared ones
-        // were already priced by the fixing level).
-        bool first_fixed = std::find(level.fixed_pos.begin(),
-                                     level.fixed_pos.end(),
-                                     pos) != level.fixed_pos.end();
-        if (!first_fixed) continue;
-        rdist += model.CellDistance(
-            component_cols_[static_cast<size_t>(pos)],
-            tuple_proj[static_cast<size_t>(pos)], elem[a]);
+      for (int a : level.fixed_attr) {
+        rdist += distances.Row(query, level.attr_pos[static_cast<size_t>(a)])
+                     [elem[static_cast<size_t>(a)]];
       }
       double f = rdist +
                  edist_suffix[static_cast<size_t>(next_level) + 1];
@@ -316,9 +327,26 @@ LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
 
   if (best_leaf < 0) return result;  // no target found
   fill_assignment(best_leaf);
-  result.target = assignment;
+  result.target.reserve(static_cast<size_t>(width));
+  for (int p = 0; p < width; ++p) {
+    result.target.push_back(
+        position_values_[static_cast<size_t>(p)]
+                        [assignment[static_cast<size_t>(p)]]);
+  }
   result.cost = c_min;
   return result;
+}
+
+LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
+    const std::vector<Value>& tuple_proj, const DistanceModel& model,
+    uint64_t max_visits, TargetTree::SearchStats* stats,
+    const Budget* budget, const MemoryBudget* memory) const {
+  // Unbudgeted, so the table build cannot fail.
+  TargetDistances distances =
+      std::move(TargetDistances::Build(component_cols_, position_values_,
+                                       {&tuple_proj}, model, /*threads=*/1))
+          .ValueOrDie();
+  return FindBest(distances, 0, max_visits, stats, budget, memory);
 }
 
 }  // namespace ftrepair

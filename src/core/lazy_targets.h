@@ -27,6 +27,9 @@ namespace ftrepair {
 ///     subtree sets — a weaker but still admissible lower bound that
 ///     needs no materialized tree.
 ///
+/// Like the eager tree, it reads every distance from a TargetDistances
+/// table built over its position_values() for all queries at once.
+///
 /// A per-query visit budget bounds pathological searches; when it is
 /// exhausted the best leaf found so far (if any) is returned and the
 /// truncation is surfaced through SearchStats.
@@ -47,12 +50,19 @@ class LazyTargetSearch {
       std::vector<TargetTree::LevelInput> inputs,
       std::vector<int> component_cols);
 
-  /// Best-first search for the cheapest target for `tuple_proj`
-  /// (values over component_cols order). `budget` (optional, not
-  /// owned) is charged one unit per visit and truncates the search
-  /// exactly like the visit cap when it runs out; `memory` (optional,
-  /// not owned) is charged per arena node pushed and truncates the
-  /// same way.
+  /// Best-first search for the cheapest target for query `query` of
+  /// `distances` (a table built over this search's position_values()).
+  /// `budget` (optional, not owned) is charged one unit per visit and
+  /// truncates the search exactly like the visit cap when it runs out;
+  /// `memory` (optional, not owned) is charged per arena node pushed,
+  /// released on return, and truncates the same way.
+  QueryResult FindBest(const TargetDistances& distances, size_t query,
+                       uint64_t max_visits, TargetTree::SearchStats* stats,
+                       const Budget* budget = nullptr,
+                       const MemoryBudget* memory = nullptr) const;
+
+  /// One-query form for `tuple_proj` (values over component_cols
+  /// order): builds a single-query table, then searches it.
   QueryResult FindBest(const std::vector<Value>& tuple_proj,
                        const DistanceModel& model, uint64_t max_visits,
                        TargetTree::SearchStats* stats,
@@ -61,32 +71,40 @@ class LazyTargetSearch {
 
   const std::vector<int>& component_cols() const { return component_cols_; }
 
+  /// Per position: the distinct values of the level that first fixes
+  /// it, ascending — the id space of elements and of the
+  /// TargetDistances this search reads.
+  const std::vector<std::vector<Value>>& position_values() const {
+    return position_values_;
+  }
+
  private:
   struct Level {
     const FD* fd = nullptr;
-    /// Elements surviving the pairwise-consistency prefilter; laid out
-    /// over the FD's attrs().
-    std::vector<std::vector<Value>> elements;
+    /// Elements surviving the pairwise-consistency prefilter, as value
+    /// ids laid out over the FD's attrs().
+    std::vector<std::vector<uint32_t>> elements;
     /// Component position of each of the FD's attrs.
     std::vector<int> attr_pos;
-    /// Positions first fixed at this level (subset of attr_pos).
-    std::vector<int> fixed_pos;
+    /// attr indices (into attr_pos) first fixed at this level,
+    /// ascending: the positions the RDIST step prices.
+    std::vector<int> fixed_attr;
     /// attr indices (into attr_pos) already fixed by earlier levels.
     std::vector<int> back_attr;
     /// Index: projection of an element onto back_attr -> element ids.
+    /// Elements with a back value no earlier level holds are left out
+    /// (they agree with no path).
     std::unordered_map<size_t, std::vector<int>> index;
   };
 
   size_t BackKey(const Level& level,
-                 const std::vector<Value>& assignment) const;
+                 const std::vector<uint32_t>& assignment) const;
 
   std::vector<int> component_cols_;
   std::vector<Level> levels_;
   /// Distinct values per component position (from the first-fixing
-  /// level's elements), for the global EDIST bound.
+  /// level's elements): the id space, and the global EDIST bound.
   std::vector<std::vector<Value>> position_values_;
-  /// position_of_level_suffix_[l]: positions first fixed at level >= l.
-  std::vector<std::vector<int>> suffix_positions_;
 };
 
 }  // namespace ftrepair

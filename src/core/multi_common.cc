@@ -149,6 +149,93 @@ class TargetsInstrument {
   Timer timer_;
 };
 
+// One dirty pattern's target search, as the merge below consumes it.
+struct SearchOutcome {
+  /// Empty when no target was found.
+  std::vector<Value> target;
+  double cost = 0;
+  TargetTree::SearchStats search_stats;
+  /// The search stopped early (visit cap or a budget). An empty target
+  /// then marks the solution truncated; an empty target without it
+  /// means the join had no target for this pattern.
+  bool truncated = false;
+  bool ran = false;
+};
+
+// Prices every dirty pattern against `position_values` in one shared
+// TargetDistances table, runs `search(distances, d, &outcome)` for each
+// dirty index d, and merges the outcomes into `solution` in dirty order.
+//
+// Searches are independent const reads, so with threads > 1 they run
+// concurrently; the merge replays them in dirty order either way, so
+// cost summation and the search counters keep the serial FP and
+// ordering semantics. The serial loop stops at the first pattern that
+// finds the budget or memory exhausted; ParallelFor skips unclaimed
+// shards once the budget is exhausted, and the merge stops at the
+// first pattern that did not run (exactly which later shards ran is
+// the documented threads>1 truncation nondeterminism). A table that
+// cannot be built leaves every dirty pattern unrepaired, as truncated.
+template <typename Search>
+void SearchDirtyPatterns(const ComponentContext& context,
+                         const std::vector<size_t>& dirty,
+                         const std::vector<std::vector<Value>>& position_values,
+                         const DistanceModel& model,
+                         const RepairOptions& options, const Search& search,
+                         MultiFDSolution* solution, RepairStats* stats) {
+  const int threads = ResolveThreads(options.threads);
+  std::vector<const std::vector<Value>*> queries;
+  queries.reserve(dirty.size());
+  for (size_t i : dirty) queries.push_back(&context.sigma_patterns[i].values);
+  auto table = TargetDistances::Build(context.component_cols, position_values,
+                                      queries, model, threads, options.budget,
+                                      options.memory);
+  if (!table.ok()) {
+    solution->truncated = true;
+    return;
+  }
+  const TargetDistances& distances = table.value();
+
+  std::vector<SearchOutcome> outcomes(dirty.size());
+  auto run = [&](int d) {
+    SearchOutcome& out = outcomes[static_cast<size_t>(d)];
+    search(distances, static_cast<size_t>(d), &out);
+    out.ran = true;
+  };
+  if (threads > 1 && dirty.size() > 1) {
+    ParallelFor(static_cast<int>(dirty.size()), threads, run, options.budget);
+  } else {
+    for (size_t d = 0; d < dirty.size(); ++d) {
+      if (BudgetExhausted(options.budget) || MemExhausted(options.memory)) {
+        break;
+      }
+      run(static_cast<int>(d));
+    }
+  }
+  for (size_t d = 0; d < dirty.size(); ++d) {
+    SearchOutcome& out = outcomes[d];
+    if (!out.ran) {
+      solution->truncated = true;
+      break;
+    }
+    size_t i = dirty[d];
+    if (stats != nullptr) {
+      stats->target_nodes_visited += out.search_stats.nodes_visited;
+      stats->target_nodes_pruned += out.search_stats.nodes_pruned;
+    }
+    if (out.target.empty()) {
+      if (out.truncated) {
+        solution->truncated = true;
+      } else if (stats != nullptr) {
+        stats->join_empty = true;
+      }
+      continue;  // leave this pattern unrepaired
+    }
+    solution->targets[i] = std::move(out.target);
+    solution->target_costs[i] = out.cost;
+    solution->cost += context.sigma_patterns[i].count() * out.cost;
+  }
+}
+
 Result<MultiFDSolution> AssignTargets(
     const ComponentContext& context,
     const std::vector<std::vector<int>>& chosen, const DistanceModel& model,
@@ -235,163 +322,36 @@ Result<MultiFDSolution> AssignTargets(
         }
         return lazy_result.status();
       }
-      LazyTargetSearch lazy = std::move(lazy_result).value();
-      const int threads = ResolveThreads(options.threads);
-      if (threads > 1 && dirty.size() > 1) {
-        // Same precompute-then-ordered-merge scheme as the eager tree
-        // path below: FindBest is a const read of the lazy index, so
-        // queries run concurrently and the merge replays them in dirty
-        // order for serial-identical cost summation and stats.
-        struct LazyPatternResult {
-          LazyTargetSearch::QueryResult query;
-          TargetTree::SearchStats search_stats;
-          bool ran = false;
-        };
-        std::vector<LazyPatternResult> results(dirty.size());
-        ParallelFor(
-            static_cast<int>(dirty.size()), threads,
-            [&](int d) {
-              LazyPatternResult& r = results[static_cast<size_t>(d)];
-              size_t i = dirty[static_cast<size_t>(d)];
-              r.query = lazy.FindBest(context.sigma_patterns[i].values,
-                                      model, options.max_target_visits,
-                                      &r.search_stats, options.budget,
-                                      options.memory);
-              r.ran = true;
-            },
-            options.budget);
-        for (size_t d = 0; d < dirty.size(); ++d) {
-          LazyPatternResult& r = results[d];
-          if (!r.ran) {
-            solution.truncated = true;
-            break;
-          }
-          size_t i = dirty[d];
-          if (stats != nullptr) {
-            stats->target_nodes_visited += r.search_stats.nodes_visited;
-            stats->target_nodes_pruned += r.search_stats.nodes_pruned;
-          }
-          if (r.query.target.empty()) {
-            if (r.query.truncated) {
-              solution.truncated = true;
-            } else if (stats != nullptr) {
-              stats->join_empty = true;
-            }
-            continue;  // leave this pattern unrepaired
-          }
-          solution.targets[i] = std::move(r.query.target);
-          solution.target_costs[i] = r.query.cost;
-          solution.cost += context.sigma_patterns[i].count() * r.query.cost;
-        }
-        return solution;
-      }
-      for (size_t i : dirty) {
-        if (BudgetExhausted(options.budget) ||
-            MemExhausted(options.memory)) {
-          // Remaining dirty patterns stay unrepaired (detect-only).
-          solution.truncated = true;
-          break;
-        }
-        TargetTree::SearchStats search_stats;
-        LazyTargetSearch::QueryResult query =
-            lazy.FindBest(context.sigma_patterns[i].values, model,
-                          options.max_target_visits, &search_stats,
-                          options.budget, options.memory);
-        if (stats != nullptr) {
-          stats->target_nodes_visited += search_stats.nodes_visited;
-          stats->target_nodes_pruned += search_stats.nodes_pruned;
-        }
-        if (query.target.empty()) {
-          if (query.truncated) {
-            solution.truncated = true;
-          } else if (stats != nullptr) {
-            stats->join_empty = true;
-          }
-          continue;  // leave this pattern unrepaired
-        }
-        solution.targets[i] = std::move(query.target);
-        solution.target_costs[i] = query.cost;
-        solution.cost += context.sigma_patterns[i].count() * query.cost;
-      }
+      const LazyTargetSearch& lazy = lazy_result.value();
+      SearchDirtyPatterns(
+          context, dirty, lazy.position_values(), model, options,
+          [&](const TargetDistances& distances, size_t d,
+              SearchOutcome* out) {
+            LazyTargetSearch::QueryResult query = lazy.FindBest(
+                distances, d, options.max_target_visits, &out->search_stats,
+                options.budget, options.memory);
+            out->target = std::move(query.target);
+            out->cost = query.cost;
+            out->truncated = query.truncated;
+          },
+          &solution, stats);
       return solution;
     }
     return tree_result.status();
   }
-  TargetTree tree = std::move(tree_result).value();
+  const TargetTree& tree = tree_result.value();
 
   if (options.use_target_tree) {
-    const int threads = ResolveThreads(options.threads);
-    if (threads > 1 && dirty.size() > 1) {
-      // Per-pattern searches are independent reads of the immutable
-      // tree and distance model; precompute them concurrently, then
-      // merge strictly in dirty order so cost summation and the
-      // search-counter accumulation keep the serial FP and ordering
-      // semantics. Budget exhaustion skips unclaimed shards; the merge
-      // stops at the first skipped pattern, mirroring the serial break
-      // (exactly which later shards ran is the documented threads>1
-      // truncation nondeterminism — threads=1 takes the loop below).
-      struct PatternResult {
-        std::vector<Value> target;
-        double cost = 0;
-        TargetTree::SearchStats search_stats;
-        bool ran = false;
-      };
-      std::vector<PatternResult> results(dirty.size());
-      ParallelFor(
-          static_cast<int>(dirty.size()), threads,
-          [&](int d) {
-            PatternResult& r = results[static_cast<size_t>(d)];
-            size_t i = dirty[static_cast<size_t>(d)];
-            r.target =
-                tree.FindBest(context.sigma_patterns[i].values, model,
-                              &r.cost, &r.search_stats, options.budget,
-                              options.memory);
-            r.ran = true;
-          },
-          options.budget);
-      for (size_t d = 0; d < dirty.size(); ++d) {
-        PatternResult& r = results[d];
-        if (!r.ran) {
-          solution.truncated = true;
-          break;
-        }
-        size_t i = dirty[d];
-        if (stats != nullptr) {
-          stats->target_nodes_visited += r.search_stats.nodes_visited;
-          stats->target_nodes_pruned += r.search_stats.nodes_pruned;
-        }
-        if (r.target.empty()) {
-          solution.truncated = true;  // budget ran out before any leaf
-          continue;
-        }
-        solution.targets[i] = std::move(r.target);
-        solution.target_costs[i] = r.cost;
-        solution.cost += context.sigma_patterns[i].count() * r.cost;
-      }
-      return solution;
-    }
-    for (size_t i : dirty) {
-      if (BudgetExhausted(options.budget) ||
-          MemExhausted(options.memory)) {
-        solution.truncated = true;
-        break;
-      }
-      double cost = 0;
-      TargetTree::SearchStats search_stats;
-      solution.targets[i] =
-          tree.FindBest(context.sigma_patterns[i].values, model, &cost,
-                        &search_stats, options.budget, options.memory);
-      if (stats != nullptr) {
-        stats->target_nodes_visited += search_stats.nodes_visited;
-        stats->target_nodes_pruned += search_stats.nodes_pruned;
-      }
-      if (solution.targets[i].empty()) {
-        solution.truncated = true;  // budget ran out before any leaf
-        continue;
-      }
-      solution.target_costs[i] = cost;
-      solution.cost += context.sigma_patterns[i].count() * cost;
-    }
+    SearchDirtyPatterns(
+        context, dirty, tree.position_values(), model, options,
+        [&](const TargetDistances& distances, size_t d, SearchOutcome* out) {
+          out->target = tree.FindBest(distances, d, &out->cost,
+                                      &out->search_stats, options.budget,
+                                      options.memory);
+          // An empty target means a budget ran out before any leaf.
+          out->truncated = out->target.empty();
+        },
+        &solution, stats);
   } else {
     std::vector<std::vector<Value>> targets = tree.EnumerateTargets();
     if (stats != nullptr) stats->targets_materialized += targets.size();

@@ -19,6 +19,7 @@
 #include "common/resource.h"
 #include "constraint/fd_parser.h"
 #include "core/greedy_multi.h"
+#include "core/multi_common.h"
 #include "core/repairer.h"
 #include "data/csv.h"
 #include "detect/violation_graph.h"
@@ -425,6 +426,56 @@ TEST(MemoryChaosGreedyMultiTest, CapHitWhileReaderListsGrowDegrades) {
     ExpectCloseWorldValid(dirty, result.value());
     EXPECT_TRUE(result.value().stats.degraded())
         << "fault at " << fault_bytes << " recorded no degradation";
+  }
+}
+
+// --- Target-phase charges leave with their structures ----------------
+//
+// The target tree, the shared distance table and each search's queue
+// or arena are freed by the time AssignTargets returns, so resident
+// occupancy must come back to where it was: phantom bytes would count
+// toward the soft watermark and degrade later components for memory
+// nobody holds. Cumulative totals (and with them the fault seam) keep
+// every byte.
+
+TEST(MemoryChaosTargetsTest, AssignTargetsReleasesEveryCharge) {
+  Dataset tax =
+      std::move(GenerateTax({.num_rows = 400, .seed = 11})).ValueOrDie();
+  Table dirty =
+      std::move(InjectErrors(tax.clean, tax.fds, NoiseOptions{}, nullptr))
+          .ValueOrDie();
+  DistanceModel model(dirty);
+  RepairOptions options;
+  options.algorithm = RepairAlgorithm::kGreedy;
+  options.w_l = tax.recommended_w_l;
+  options.w_r = tax.recommended_w_r;
+  options.tau_by_fd = tax.recommended_tau;
+  ComponentContext context = BuildComponentContext(
+      dirty, testing_util::LargestComponentFDs(tax.fds), model, options);
+  auto solved = SolveGreedyMulti(context, model, options, nullptr);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  const std::vector<std::vector<int>>& chosen = solved.value().chosen;
+
+  // max_tree_nodes = 2 makes the eager tree give up (after charging its
+  // first nodes) and sends the queries to the lazy search.
+  for (size_t max_tree_nodes : {RepairOptions{}.max_tree_nodes, size_t{2}}) {
+    for (int threads : {1, 4}) {
+      MemoryBudget memory(uint64_t{1} << 40);
+      ASSERT_TRUE(memory.TryCharge(12345, MemPhase::kOther));
+      options.memory = &memory;
+      options.threads = threads;
+      options.max_tree_nodes = max_tree_nodes;
+      const uint64_t before = memory.resident_bytes();
+      RepairStats stats;
+      auto result = AssignTargets(context, chosen, model, options, &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_FALSE(result.value().truncated);
+      EXPECT_GT(result.value().cost, 0.0);
+      EXPECT_GT(stats.target_nodes_visited, 0u);
+      EXPECT_GT(memory.charged_bytes(MemPhase::kTargets), 0u);
+      EXPECT_EQ(memory.resident_bytes(), before)
+          << "max_tree_nodes=" << max_tree_nodes << " threads=" << threads;
+    }
   }
 }
 

@@ -3,7 +3,8 @@
 # repair with --metrics-json and --trace-json, and fails if either file
 # is missing, is not valid JSON, or lacks the keys the pipeline is
 # supposed to emit (per-phase counters, the end-to-end latency
-# histogram, and trace spans covering detect -> solve -> targets ->
+# histogram, the target distance-table counter, and trace spans
+# covering detect -> solve -> targets (with the distance table) ->
 # apply). Usage: tools/metrics_check.sh [build-dir]
 set -euo pipefail
 
@@ -77,6 +78,7 @@ missing = [
         "ftrepair.phase.stats_us",
         "ftrepair.repair.runs",
         "ftrepair.ingest.rows_read",
+        "ftrepair.targets.distance_evals",
     )
     if key not in counters
 ]
@@ -101,10 +103,18 @@ for needed in (
     "repair.detect",
     "detect.graph_build",
     "targets.assign",
+    "targets.distance_table",
     "repair.total",
 ):
     if needed not in names:
         sys.exit(f"FAIL: trace lacks span '{needed}' (have: {sorted(names)})")
+if metrics["counters"]["ftrepair.targets.distance_evals"] < 1:
+    sys.exit("FAIL: ftrepair.targets.distance_evals never incremented")
+for e in events:
+    if e.get("name") == "targets.distance_table":
+        args = e.get("args", {})
+        if "rows" not in args or "cells" not in args:
+            sys.exit(f"FAIL: targets.distance_table lacks rows/cells args: {args}")
 if not any(n.endswith(("solve_single", "solve_multi")) for n in names):
     sys.exit(f"FAIL: trace lacks a solver span (have: {sorted(names)})")
 if not any(n.startswith("repair.apply") for n in names):

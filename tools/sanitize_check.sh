@@ -52,7 +52,7 @@ if [[ "${mode}" == "thread" ]]; then
   # singleton and the cross-semantics property sweeps run repairs at
   # several thread counts).
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
+    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|TargetDistances|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
 else
   export ASAN_OPTIONS="detect_leaks=1:abort_on_error=1"
   export UBSAN_OPTIONS="print_stacktrace=1"
