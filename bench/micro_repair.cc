@@ -1,18 +1,21 @@
 // Micro-benchmarks of the repair kernels (google-benchmark): Greedy-S,
 // Expansion-S, the target-tree search, and the deadline-governed full
-// pipeline, on fixed HOSP-derived inputs.
+// pipeline, on fixed HOSP-derived inputs; Greedy-M on the Tax
+// component.
 
 #include <benchmark/benchmark.h>
 
 #include "common/budget.h"
 #include "common/resource.h"
 #include "core/expansion_single.h"
+#include "core/greedy_multi.h"
 #include "core/greedy_single.h"
 #include "core/multi_common.h"
 #include "core/repairer.h"
 #include "core/target_tree.h"
 #include "gen/error_injector.h"
 #include "gen/hosp_gen.h"
+#include "gen/tax_gen.h"
 
 namespace {
 
@@ -116,6 +119,52 @@ void BM_TargetTreeSearch(benchmark::State& state) {
       static_cast<double>(distances.num_cells());
 }
 BENCHMARK(BM_TargetTreeSearch);
+
+// Greedy-M alone on the 8-FD component (x1..x8) of Tax 5k at 4% noise.
+// Patterns and violation graphs are built once outside the timed loop,
+// so an iteration is the solver layer only: the cross-FD index, the
+// round loop and the target join.
+struct TaxComponentFixture {
+  Dataset dataset;
+  Table dirty;
+  DistanceModel model;
+  RepairOptions options;
+  ComponentContext context;
+
+  TaxComponentFixture()
+      : dataset(std::move(GenerateTax({.num_rows = 5000, .seed = 11}))
+                    .ValueOrDie()),
+        dirty(std::move(InjectErrors(dataset.clean, dataset.fds,
+                                     NoiseOptions{.seed = 42}, nullptr))
+                  .ValueOrDie()),
+        model(dirty) {
+    options.w_l = dataset.recommended_w_l;
+    options.w_r = dataset.recommended_w_r;
+    options.tau_by_fd = dataset.recommended_tau;
+    options.threads = 1;
+    std::vector<const FD*> fds;
+    for (size_t k = 0; k < 8; ++k) fds.push_back(&dataset.fds[k]);
+    context = BuildComponentContext(dirty, fds, model, options);
+  }
+};
+
+void BM_GreedyMulti(benchmark::State& state) {
+  static TaxComponentFixture* fixture = new TaxComponentFixture();
+  for (auto _ : state) {
+    auto solution = SolveGreedyMulti(fixture->context, fixture->model,
+                                     fixture->options, nullptr);
+    if (!solution.ok()) {
+      state.SkipWithError(solution.status().ToString().c_str());
+    }
+    benchmark::DoNotOptimize(solution);
+  }
+  size_t patterns = 0;
+  for (const ViolationGraph& graph : fixture->context.graphs) {
+    patterns += static_cast<size_t>(graph.num_patterns());
+  }
+  state.counters["phi_patterns"] = static_cast<double>(patterns);
+}
+BENCHMARK(BM_GreedyMulti)->Unit(benchmark::kMillisecond);
 
 // Deadline sweep: the full exact pipeline under shrinking budgets.
 // Arg is the deadline in microseconds (0 = unlimited). Shows how much

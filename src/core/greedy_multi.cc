@@ -5,11 +5,11 @@
 #include <cstdint>
 #include <limits>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "core/cross_fd_index.h"
 
 namespace ftrepair {
 
@@ -34,19 +34,24 @@ constexpr uint64_t kSlotBytes = sizeof(double) + sizeof(uint8_t) +
 struct SolveInstrument {
   uint64_t rounds = 0;
   uint64_t cost_evals = 0;
+  uint64_t conflict_lookups = 0;
   ~SolveInstrument() {
     static Counter* rounds_counter =
         Metrics().GetCounter("ftrepair.solve.greedy_rounds");
     static Counter* evals_counter =
         Metrics().GetCounter("ftrepair.solve.cost_evals");
+    static Counter* lookups_counter =
+        Metrics().GetCounter("ftrepair.solve.conflict_lookups");
     rounds_counter->Increment(rounds);
     evals_counter->Increment(cost_evals);
+    lookups_counter->Increment(conflict_lookups);
   }
 };
 
 struct GreedyMultiState {
   const ComponentContext* ctx;
   const RepairOptions* options;
+  SolveInstrument* instrument = nullptr;
 
   size_t num_fds;
   // Per FD: chosen membership, conflict counts against the chosen set.
@@ -57,13 +62,8 @@ struct GreedyMultiState {
   std::vector<std::vector<double>> best_unit;
   size_t remaining = 0;  // candidates not yet chosen nor blocked
 
-  // Per FD: lookup from phi projection values to phi-pattern id.
-  std::vector<std::unordered_map<std::vector<Value>, int, ProjectionHash>>
-      phi_index;
-  // Per FD: component position of each of its attrs.
-  std::vector<std::vector<int>> attr_pos;
-  // Per FD pair (k, j): shared component positions, empty if disjoint.
-  std::vector<std::vector<std::vector<int>>> shared_pos;
+  // Which j-pattern a rewrite of FD k's shared positions leads to.
+  CrossFdIndex cross;
 
   // Flattened (fd, pattern) slot space: slot_base[k] + v, in the
   // serial scan's (k, v) lexicographic order.
@@ -85,23 +85,18 @@ struct GreedyMultiState {
   uint64_t charged_bytes = 0;  // kSolve bytes to release on exit
   bool charge_failed = false;
 
-  void Init(const ComponentContext& context, const RepairOptions& opts) {
+  // False when the cross-FD index could not be charged.
+  bool Init(const ComponentContext& context, const RepairOptions& opts,
+            SolveInstrument* solve_instrument) {
     ctx = &context;
     options = &opts;
+    instrument = solve_instrument;
     num_fds = context.fds.size();
     chosen.resize(num_fds);
     blocked.resize(num_fds);
     chosen_list.resize(num_fds);
     best_unit.resize(num_fds);
-    phi_index.resize(num_fds);
-    attr_pos.resize(num_fds);
-    shared_pos.assign(num_fds, std::vector<std::vector<int>>(num_fds));
     slot_base.assign(num_fds + 1, 0);
-
-    std::unordered_map<int, int> col_to_pos;
-    for (size_t p = 0; p < context.component_cols.size(); ++p) {
-      col_to_pos.emplace(context.component_cols[p], static_cast<int>(p));
-    }
     for (size_t k = 0; k < num_fds; ++k) {
       int n = context.graphs[k].num_patterns();
       chosen[k].assign(static_cast<size_t>(n), false);
@@ -109,24 +104,8 @@ struct GreedyMultiState {
       best_unit[k].assign(static_cast<size_t>(n), kInf);
       remaining += static_cast<size_t>(n);
       slot_base[k + 1] = slot_base[k] + static_cast<uint32_t>(n);
-      for (int j = 0; j < n; ++j) {
-        phi_index[k].emplace(context.graphs[k].pattern(j).values, j);
-      }
-      for (int c : context.fds[k]->attrs()) {
-        attr_pos[k].push_back(col_to_pos.at(c));
-      }
     }
-    for (size_t k = 0; k < num_fds; ++k) {
-      for (size_t j = 0; j < num_fds; ++j) {
-        if (j == k) continue;
-        for (int pk : attr_pos[k]) {
-          if (std::find(attr_pos[j].begin(), attr_pos[j].end(), pk) !=
-              attr_pos[j].end()) {
-            shared_pos[k][j].push_back(pk);
-          }
-        }
-      }
-    }
+    return cross.Build(context, opts.memory);
   }
 
   // Charges `bytes` of round state to the solve phase; a failed charge
@@ -211,40 +190,16 @@ struct GreedyMultiState {
   // after hypothetically rewriting the shared positions with the values
   // of phi-pattern `u` of FD k (u < 0 means "no rewrite").
   int ConflictAfter(size_t k, int u, size_t j, int sigma) {
-    int cur_phi = ctx->phi_of_sigma[j][static_cast<size_t>(sigma)];
-    if (u < 0 || shared_pos[k][j].empty()) {
-      return IsBlocked(j, cur_phi) ? 1 : 0;
+    int phi = ctx->phi_of_sigma[j][static_cast<size_t>(sigma)];
+    if (u >= 0) {
+      phi = cross.Rewrite(k, u, j, phi, &instrument->conflict_lookups);
     }
-    const std::vector<Value>& cur_values =
-        ctx->graphs[j].pattern(cur_phi).values;
-    const std::vector<Value>& u_values =
-        ctx->graphs[k].pattern(u).values;
-    // Check for a change before paying for a projection copy.
-    bool changed = false;
-    for (size_t a = 0; a < attr_pos[k].size() && !changed; ++a) {
-      int pos = attr_pos[k][a];
-      auto it = std::find(attr_pos[j].begin(), attr_pos[j].end(), pos);
-      if (it == attr_pos[j].end()) continue;
-      size_t jp = static_cast<size_t>(it - attr_pos[j].begin());
-      changed = cur_values[jp] != u_values[a];
-    }
-    if (!changed) {
-      return IsBlocked(j, cur_phi) ? 1 : 0;
-    }
-    std::vector<Value> proj = cur_values;
-    for (size_t a = 0; a < attr_pos[k].size(); ++a) {
-      int pos = attr_pos[k][a];
-      auto it = std::find(attr_pos[j].begin(), attr_pos[j].end(), pos);
-      if (it == attr_pos[j].end()) continue;
-      proj[static_cast<size_t>(it - attr_pos[j].begin())] = u_values[a];
-    }
-    auto found = phi_index[j].find(proj);
     // A projection that exists nowhere in the data would be *created*
     // by this modification — count it as a triggered violation ("trigger
     // less violations for phi_j", §4.4): the close-world model would
     // have to invent the combination.
-    if (found == phi_index[j].end()) return 1;
-    return IsBlocked(j, found->second) ? 1 : 0;
+    if (phi == CrossFdIndex::kMissing) return 1;
+    return IsBlocked(j, phi) ? 1 : 0;
   }
 
   // Synchronization-aware score of repairing neighbor v (of FD k) to
@@ -257,7 +212,7 @@ struct GreedyMultiState {
         ctx->sigma_of_phi[k][static_cast<size_t>(v)];
     size_t limit = std::min(sigmas.size(), kMaxCrossSigmas);
     for (size_t j = 0; j < num_fds; ++j) {
-      if (j == k || shared_pos[k][j].empty()) continue;
+      if (j == k || !cross.Shares(k, j)) continue;
       double delta = 0;
       int total = 0;
       for (size_t si = 0; si < limit; ++si) {
@@ -390,7 +345,10 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
   FTR_TRACE_SPAN("greedy.solve_multi");
   SolveInstrument instrument;
   GreedyMultiState state;
-  state.Init(context, options);
+  if (!state.Init(context, options, &instrument)) {
+    return ResourceCheck(options.budget, options.memory,
+                         "greedy cross-FD index");
+  }
 
   // Trusted phi-patterns are pinned first (other tuples repair toward
   // them), then isolated phi-patterns join unconditionally.
@@ -428,8 +386,7 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
     // Each round appends one (fd, pattern) choice and refreshes the
     // per-pattern best-unit costs it invalidates.
     if (!BudgetCharge(options.budget) ||
-        !MemCharge(options.memory, sizeof(int) + sizeof(double),
-                   MemPhase::kSolve)) {
+        !state.Charge(sizeof(int) + sizeof(double))) {
       // Out of budget: stop growing. AssignTargets still runs (and
       // itself polls), so already-chosen sets yield a valid partial
       // repair; unreached patterns stay dirty.
@@ -455,7 +412,10 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
     state.Invalidate(best_fd, best_pattern);
     made_progress = true;
   }
+  // The round state's charges, and the index with its own, leave
+  // before the target join allocates.
   state.Release(state.charged_bytes);
+  state.cross = CrossFdIndex();
 
   if (truncated && !made_progress) {
     // Exhausted before the first candidate was chosen: there is no

@@ -14,9 +14,10 @@ namespace ftrepair {
 /// "best" is synchronization-aware: a candidate modification is scored
 /// by its repair cost plus `options.cross_weight` per violation it
 /// triggers (minus per violation it eliminates) against the chosen sets
-/// of connected FDs. Substituted projections that do not exist as
-/// patterns score neutrally (a documented approximation — exact
-/// re-detection would need a fresh similarity join per candidate).
+/// of connected FDs. A substituted projection that exists as no pattern
+/// counts as triggered: the close-world model would have to invent it.
+/// The substitution is answered in integers by a CrossFdIndex built
+/// once per call.
 /// Terminates when every phi-pattern is chosen or blocked, then joins
 /// the sets into targets and repairs (lines 7-9).
 ///
@@ -36,10 +37,13 @@ namespace ftrepair {
 /// a pure function of those inputs, so a cached cost equals a fresh one
 /// bit for bit and the picks match a full rescan exactly.
 ///
-/// The cache, the ordered set and the reader log are charged to
-/// MemPhase::kSolve; a failed charge truncates the loop like an
-/// exhausted budget. Publishes ftrepair.solve.greedy_rounds and
-/// ftrepair.solve.cost_evals.
+/// The cross-FD index, the cache, the ordered set and the reader log
+/// are charged to MemPhase::kSolve and released before the call
+/// returns. A failed charge while the index is built returns
+/// ResourceExhausted (the next rung down takes the component); one in
+/// the round loop truncates it like an exhausted budget. Publishes
+/// ftrepair.solve.greedy_rounds, ftrepair.solve.cost_evals and
+/// ftrepair.solve.conflict_lookups.
 Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const DistanceModel& model,
                                          const RepairOptions& options,

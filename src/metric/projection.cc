@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 
 #include "metric/distance.h"
 
 namespace ftrepair {
+
+namespace {
+
+// The bytes a string kernel reads for `v`: a string's own bytes, or a
+// number rendered into `*buf` — the same bytes Value::ToString() gives.
+std::string_view KernelText(const Value& v, std::string* buf) {
+  if (v.is_string()) return v.str();
+  *buf = v.ToString();
+  return *buf;
+}
+
+}  // namespace
 
 DistanceModel::DistanceModel(const Table& table) {
   int n = table.num_columns();
@@ -33,6 +46,7 @@ double DistanceModel::CellDistance(int col, const Value& a,
     metric = (a.is_number() && b.is_number()) ? ColumnMetric::kEuclidean
                                               : ColumnMetric::kEdit;
   }
+  std::string buf_a, buf_b;
   switch (metric) {
     case ColumnMetric::kDiscrete:
       return 1.0;
@@ -44,14 +58,18 @@ double DistanceModel::CellDistance(int col, const Value& a,
       // A typo turned a numeric cell into text: maximally dirty.
       return 1.0;
     case ColumnMetric::kJaccard:
-      return TokenJaccardDistance(a.ToString(), b.ToString());
+      return TokenJaccardDistance(KernelText(a, &buf_a),
+                                  KernelText(b, &buf_b));
     case ColumnMetric::kJaroWinkler:
-      return JaroWinklerDistance(a.ToString(), b.ToString());
+      return JaroWinklerDistance(KernelText(a, &buf_a),
+                                 KernelText(b, &buf_b));
     case ColumnMetric::kQGramCosine:
-      return QGramCosineDistance(a.ToString(), b.ToString());
+      return QGramCosineDistance(KernelText(a, &buf_a),
+                                 KernelText(b, &buf_b));
     case ColumnMetric::kEdit:
     case ColumnMetric::kAuto:
-      return NormalizedEditDistance(a.ToString(), b.ToString());
+      return NormalizedEditDistance(KernelText(a, &buf_a),
+                                    KernelText(b, &buf_b));
   }
   return 1.0;
 }
@@ -69,8 +87,9 @@ double DistanceModel::CellDistanceCapped(int col, const Value& a,
   }
   if (metric != ColumnMetric::kEdit) return CellDistance(col, a, b);
 
-  std::string sa = a.ToString();
-  std::string sb = b.ToString();
+  std::string buf_a, buf_b;
+  std::string_view sa = KernelText(a, &buf_a);
+  std::string_view sb = KernelText(b, &buf_b);
   size_t max_len = std::max(sa.size(), sb.size());
   if (max_len == 0) return 0.0;
   // cap >= 1 admits every normalized distance: no point banding.

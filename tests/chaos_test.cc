@@ -429,6 +429,58 @@ TEST(MemoryChaosGreedyMultiTest, CapHitWhileReaderListsGrowDegrades) {
   }
 }
 
+// --- Greedy-M hands back every byte it charged -------------------------
+//
+// The cross-FD rewrite index, the cost cache, the ordered set, the
+// reader log and the per-round growth are all charged to the solve
+// phase and released by the time SolveGreedyMulti returns (the target
+// join releases its own), so resident occupancy comes back to where it
+// was. A charge that fails while the index is built sends the
+// component down the ladder with a ResourceExhausted naming the index.
+
+TEST(MemoryChaosGreedyMultiTest, SolveReleasesEveryCharge) {
+  Dataset tax =
+      std::move(GenerateTax({.num_rows = 400, .seed = 11})).ValueOrDie();
+  Table dirty =
+      std::move(InjectErrors(tax.clean, tax.fds, NoiseOptions{}, nullptr))
+          .ValueOrDie();
+  DistanceModel model(dirty);
+  RepairOptions options;
+  options.algorithm = RepairAlgorithm::kGreedy;
+  options.w_l = tax.recommended_w_l;
+  options.w_r = tax.recommended_w_r;
+  options.tau_by_fd = tax.recommended_tau;
+  ComponentContext context = BuildComponentContext(
+      dirty, testing_util::LargestComponentFDs(tax.fds), model, options);
+
+  for (int threads : {1, 4}) {
+    MemoryBudget memory(uint64_t{1} << 40);
+    ASSERT_TRUE(memory.TryCharge(12345, MemPhase::kOther));
+    options.memory = &memory;
+    options.threads = threads;
+    const uint64_t before = memory.resident_bytes();
+    RepairStats stats;
+    auto result = SolveGreedyMulti(context, model, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result.value().truncated);
+    EXPECT_GT(memory.charged_bytes(MemPhase::kSolve), 0u);
+    EXPECT_EQ(memory.resident_bytes(), before) << "threads=" << threads;
+  }
+
+  ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", "1");
+  MemoryBudget memory(uint64_t{1} << 40);
+  options.memory = &memory;
+  options.threads = 1;
+  RepairStats stats;
+  auto result = SolveGreedyMulti(context, model, options, &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted());
+  EXPECT_NE(result.status().ToString().find("cross-FD index"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(memory.resident_bytes(), 0u);
+}
+
 // --- Target-phase charges leave with their structures ----------------
 //
 // The target tree, the shared distance table and each search's queue

@@ -1,9 +1,14 @@
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "core/appro_multi.h"
+#include "core/cross_fd_index.h"
 #include "core/expansion_multi.h"
 #include "core/greedy_multi.h"
 #include "detect/detector.h"
@@ -140,6 +145,119 @@ TEST(GreedyMultiTest, RoundsRescoreOnlyInvalidatedSlots) {
   EXPECT_GT(num_evals, 0u);
   EXPECT_LT(num_evals, num_rounds * slots / 4)
       << num_rounds << " rounds over " << slots << " slots";
+}
+
+// A seeded table for the cross-FD index oracle: string columns A, B, D
+// and numeric columns C, E, with nulls, numeric typos kept as text in
+// the numeric columns, -0.0 next to 0.0, and one programmatic NaN in
+// each numeric column.
+Table CrossIndexTable(uint64_t seed) {
+  Table table{Schema({Column{"A", ValueType::kString},
+                      Column{"B", ValueType::kString},
+                      Column{"C", ValueType::kNumber},
+                      Column{"D", ValueType::kString},
+                      Column{"E", ValueType::kNumber}})};
+  Rng rng(seed);
+  auto pick = [&rng](const std::vector<Value>& domain) {
+    return rng.Bernoulli(0.08) ? Value() : domain[rng.Index(domain.size())];
+  };
+  const std::vector<Value> as = {Value("a0"), Value("a1"), Value("a2"),
+                                 Value("a3")};
+  const std::vector<Value> bs = {Value("b0"), Value("b1"), Value("b2")};
+  const std::vector<Value> cs = {Value(0.0), Value(-0.0), Value(1.5),
+                                 Value(2.0), Value("2x")};
+  const std::vector<Value> ds = {Value("d0"), Value("d1"), Value("d2")};
+  const std::vector<Value> es = {Value(10.0), Value(20.0), Value("1O"),
+                                 Value(30.0)};
+  for (int r = 0; r < 48; ++r) {
+    (void)table.AppendRow(
+        Row{pick(as), pick(bs), pick(cs), pick(ds), pick(es)});
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  table.SetCell(static_cast<int>(rng.Index(48)), 2, Value(nan));
+  table.SetCell(static_cast<int>(rng.Index(48)), 4, Value(nan));
+  return table;
+}
+
+// The j-pattern that j-pattern `cur` becomes when FD k's attributes
+// take the values of k-pattern `u`: a Value projection rewrite plus a
+// linear search by Value equality, as a Value-keyed map would answer.
+int RewriteOracle(const ComponentContext& context, size_t k, int u,
+                  size_t j, int cur) {
+  std::vector<Value> proj = context.graphs[j].pattern(cur).values;
+  const std::vector<Value>& u_values = context.graphs[k].pattern(u).values;
+  const std::vector<int>& k_attrs = context.fds[k]->attrs();
+  for (size_t a = 0; a < k_attrs.size(); ++a) {
+    const int at = context.fds[j]->AttrPosition(k_attrs[a]);
+    if (at >= 0) proj[static_cast<size_t>(at)] = u_values[a];
+  }
+  for (int q = 0; q < context.graphs[j].num_patterns(); ++q) {
+    if (context.graphs[j].pattern(q).values == proj) return q;
+  }
+  return CrossFdIndex::kMissing;
+}
+
+TEST(GreedyMultiCrossIndexTest, RewritesMatchValueProjectionOracle) {
+  // x0/x1 share two attributes (A, B); x2 shares one with x0 (C), x3
+  // one with x1 (D) and x2 (E), x4 one with x2/x3 (E) and x0/x1 (A).
+  std::vector<FD> fds;
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> specs = {
+      {{0, 1}, {2}}, {{0, 1}, {3}}, {{2}, {4}}, {{3}, {4}}, {{4}, {0}}};
+  RepairOptions options;
+  options.w_l = 0.5;
+  options.w_r = 0.5;
+  for (size_t f = 0; f < specs.size(); ++f) {
+    fds.push_back(std::move(FD::Make(specs[f].first, specs[f].second,
+                                     "x" + std::to_string(f)))
+                      .ValueOrDie());
+    options.tau_by_fd[fds.back().name()] = 0.5;
+  }
+  std::vector<const FD*> component;
+  for (const FD& fd : fds) component.push_back(&fd);
+
+  int hits = 0, misses = 0, unchanged = 0, nan_patterns = 0;
+  uint64_t probes = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Table table = CrossIndexTable(seed);
+    DistanceModel model(table);
+    ComponentContext context =
+        BuildComponentContext(table, component, model, options);
+    for (const ViolationGraph& graph : context.graphs) {
+      for (const Pattern& pattern : graph.patterns()) {
+        for (const Value& v : pattern.values) {
+          nan_patterns += v.is_number() && std::isnan(v.num()) ? 1 : 0;
+        }
+      }
+    }
+    CrossFdIndex index;
+    ASSERT_TRUE(index.Build(context, nullptr));
+    for (size_t k = 0; k < fds.size(); ++k) {
+      for (size_t j = 0; j < fds.size(); ++j) {
+        if (j == k) continue;
+        EXPECT_EQ(index.Shares(k, j), fds[k].Overlaps(fds[j]));
+        for (int u = 0; u < context.graphs[k].num_patterns(); ++u) {
+          for (int cur = 0; cur < context.graphs[j].num_patterns(); ++cur) {
+            const int want = RewriteOracle(context, k, u, j, cur);
+            ASSERT_EQ(index.Rewrite(k, u, j, cur, &probes), want)
+                << "seed " << seed << " k " << k << " u " << u << " j " << j
+                << " cur " << cur;
+            if (want == CrossFdIndex::kMissing) {
+              ++misses;
+            } else if (want == cur) {
+              ++unchanged;
+            } else {
+              ++hits;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(nan_patterns, 0);
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(unchanged, 0);
+  EXPECT_GT(probes, 0u);
 }
 
 TEST(ApproMultiTest, OutputIsFTConsistent) {

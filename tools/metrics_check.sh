@@ -3,9 +3,10 @@
 # repair with --metrics-json and --trace-json, and fails if either file
 # is missing, is not valid JSON, or lacks the keys the pipeline is
 # supposed to emit (per-phase counters, the end-to-end latency
-# histogram, the target distance-table counter, and trace spans
-# covering detect -> solve -> targets (with the distance table) ->
-# apply). Usage: tools/metrics_check.sh [build-dir]
+# histogram, the target distance-table counter, Greedy-M's cross-FD
+# lookup counter, and trace spans covering detect -> solve (with the
+# cross-FD index) -> targets (with the distance table) -> apply).
+# Usage: tools/metrics_check.sh [build-dir]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -18,7 +19,8 @@ work_dir="$(mktemp -d)"
 trap 'rm -rf "${work_dir}"' EXIT
 
 # The paper's running example: phi2 and phi3 share City, so the
-# multi-FD component (target tree / AssignTargets) is exercised too.
+# multi-FD component (Greedy-M's cross-FD index, target tree /
+# AssignTargets) is exercised too.
 cat > "${work_dir}/dirty.csv" <<'EOF'
 Name,Education,Level,City,Street,District,State
 Janaina,Bachelors,3,New York,Main,Manhattan,NY
@@ -79,6 +81,7 @@ missing = [
         "ftrepair.repair.runs",
         "ftrepair.ingest.rows_read",
         "ftrepair.targets.distance_evals",
+        "ftrepair.solve.conflict_lookups",
     )
     if key not in counters
 ]
@@ -104,6 +107,7 @@ for needed in (
     "detect.graph_build",
     "targets.assign",
     "targets.distance_table",
+    "greedy.cross_index",
     "repair.total",
 ):
     if needed not in names:
@@ -115,6 +119,13 @@ for e in events:
         args = e.get("args", {})
         if "rows" not in args or "cells" not in args:
             sys.exit(f"FAIL: targets.distance_table lacks rows/cells args: {args}")
+if metrics["counters"]["ftrepair.solve.conflict_lookups"] < 1:
+    sys.exit("FAIL: ftrepair.solve.conflict_lookups never incremented")
+for e in events:
+    if e.get("name") == "greedy.cross_index":
+        args = e.get("args", {})
+        if "pairs" not in args or "entries" not in args:
+            sys.exit(f"FAIL: greedy.cross_index lacks pairs/entries args: {args}")
 if not any(n.endswith(("solve_single", "solve_multi")) for n in names):
     sys.exit(f"FAIL: trace lacks a solver span (have: {sorted(names)})")
 if not any(n.startswith("repair.apply") for n in names):
