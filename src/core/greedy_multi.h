@@ -24,26 +24,45 @@ namespace ftrepair {
 /// The round loop is incremental. Each candidate's cost is cached in a
 /// set ordered by (cost, slot), where the slot is the flattened
 /// (fd, pattern) index, so the set's minimum is the first strict
-/// minimum of a full scan in (fd, pattern) order. A cost reads only
-/// chosen[k] and best_unit[k] within 2 hops of the candidate in its own
-/// graph, plus `blocked[j] > 0` of other FDs' patterns. After Add(k, c)
-/// a round therefore re-scores exactly
-///   * the candidates within 2 hops of c in graph k (the chosen[k] and
-///     best_unit[k] entries that changed all lie next to c), and
-///   * the logged readers of every blocked[j] entry that went 0 -> 1.
-/// A read is logged only while the entry is 0 and its pattern is not
-/// chosen: blocked counts only grow, and a chosen pattern never becomes
-/// blocked inside the loop, so no other read can go stale. The cost is
-/// a pure function of those inputs, so a cached cost equals a fresh one
-/// bit for bit and the picks match a full rescan exactly.
+/// minimum of a full scan in (fd, pattern) order. A cost reads chosen[k]
+/// and the top chosen-neighbour lists within 2 hops of the candidate in
+/// its own graph, plus memoized target scores. Per pattern v, the top
+/// list keeps v's kMaxCrossTargets cheapest chosen neighbours by
+/// (unit cost, id); merging the candidate's own edge into it gives the
+/// eligible targets a sorted scan of v's neighbours would give, since
+/// each edge carries one unit cost in both directions.
 ///
-/// The cross-FD index, the cache, the ordered set and the reader log
-/// are charged to MemPhase::kSolve and released before the call
-/// returns. A failed charge while the index is built returns
+/// The score memo holds TargetScore(k, v, u) per directed edge u -> v,
+/// at u's adjacency position. A score reads only `blocked[j] > 0` of
+/// other FDs' patterns; the target-independent half of those reads is
+/// made once per visit of v and counted for every score computed in
+/// that visit. The reader log maps each blocked entry to the memo keys
+/// whose score read it while it was 0. After Add(k, c) a round
+/// re-scores
+///   * the candidates within 2 hops of c in graph k (the chosen[k] and
+///     top-list entries that changed all lie next to c), and
+///   * for each blocked entry that went 0 -> 1, each logged key
+///     u -> v that is still valid is dropped from the memo, and its
+///     readers are marked: u itself while u is unchosen, or every
+///     candidate next to v once u is chosen.
+/// That is exact: CandidateCost(c) reads score u -> v only when u == c
+/// or u is a chosen neighbour of v, and chosen is permanent. A read is
+/// logged only while the entry is 0 and its pattern is not chosen:
+/// blocked counts only grow, and a chosen pattern never becomes blocked
+/// inside the loop, so no other read can go stale. Scores and costs are
+/// pure functions of those inputs, so a memoized score or cached cost
+/// equals a fresh one bit for bit and the picks match a full rescan
+/// exactly.
+///
+/// The cross-FD index, the score memo (9 bytes per directed edge), the
+/// top lists, the cache, the ordered set and the reader log are charged
+/// to MemPhase::kSolve and freed, with their charges, before the target
+/// join. A failed charge while the index or the memo is sized returns
 /// ResourceExhausted (the next rung down takes the component); one in
 /// the round loop truncates it like an exhausted budget. Publishes
-/// ftrepair.solve.greedy_rounds, ftrepair.solve.cost_evals and
-/// ftrepair.solve.conflict_lookups.
+/// ftrepair.solve.greedy_rounds, ftrepair.solve.cost_evals,
+/// ftrepair.solve.conflict_lookups, ftrepair.solve.score_memo_hits and
+/// ftrepair.solve.score_memo_misses.
 Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const DistanceModel& model,
                                          const RepairOptions& options,

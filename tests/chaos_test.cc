@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/metrics.h"
 #include "common/resource.h"
 #include "constraint/fd_parser.h"
+#include "core/cross_fd_index.h"
 #include "core/greedy_multi.h"
 #include "core/multi_common.h"
 #include "core/repairer.h"
@@ -431,12 +433,14 @@ TEST(MemoryChaosGreedyMultiTest, CapHitWhileReaderListsGrowDegrades) {
 
 // --- Greedy-M hands back every byte it charged -------------------------
 //
-// The cross-FD rewrite index, the cost cache, the ordered set, the
-// reader log and the per-round growth are all charged to the solve
-// phase and released by the time SolveGreedyMulti returns (the target
-// join releases its own), so resident occupancy comes back to where it
-// was. A charge that fails while the index is built sends the
-// component down the ladder with a ResourceExhausted naming the index.
+// The cross-FD rewrite index, the score memo and top-neighbour lists,
+// the cost cache, the ordered set, the reader log and the per-round
+// growth are all charged to the solve phase and released by the time
+// SolveGreedyMulti returns (the target join releases its own), so
+// resident occupancy comes back to where it was. A charge that fails
+// while the index is built, or right after it while the memo is sized,
+// sends the component down the ladder with a ResourceExhausted naming
+// the structure.
 
 TEST(MemoryChaosGreedyMultiTest, SolveReleasesEveryCharge) {
   Dataset tax =
@@ -467,18 +471,31 @@ TEST(MemoryChaosGreedyMultiTest, SolveReleasesEveryCharge) {
     EXPECT_EQ(memory.resident_bytes(), before) << "threads=" << threads;
   }
 
-  ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", "1");
-  MemoryBudget memory(uint64_t{1} << 40);
-  options.memory = &memory;
-  options.threads = 1;
-  RepairStats stats;
-  auto result = SolveGreedyMulti(context, model, options, &stats);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsResourceExhausted());
-  EXPECT_NE(result.status().ToString().find("cross-FD index"),
-            std::string::npos)
-      << result.status().ToString();
-  EXPECT_EQ(memory.resident_bytes(), 0u);
+  // A fault at the first byte trips while the index is built; one a
+  // byte past the index's cumulative charges trips on the memo, which
+  // is charged right after it.
+  uint64_t index_bytes = 0;
+  {
+    MemoryBudget probe(uint64_t{1} << 40);
+    CrossFdIndex index;
+    ASSERT_TRUE(index.Build(context, &probe));
+    index_bytes = probe.charged_total_bytes();
+  }
+  const std::pair<uint64_t, std::string> faults[] = {
+      {1, "cross-FD index"}, {index_bytes + 1, "score memo"}};
+  for (const auto& [fault_bytes, where] : faults) {
+    ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(fault_bytes));
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    options.threads = 1;
+    RepairStats stats;
+    auto result = SolveGreedyMulti(context, model, options, &stats);
+    ASSERT_FALSE(result.ok()) << where;
+    EXPECT_TRUE(result.status().IsResourceExhausted());
+    EXPECT_NE(result.status().ToString().find(where), std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(memory.resident_bytes(), 0u) << where;
+  }
 }
 
 // --- Target-phase charges leave with their structures ----------------

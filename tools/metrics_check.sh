@@ -4,7 +4,7 @@
 # is missing, is not valid JSON, or lacks the keys the pipeline is
 # supposed to emit (per-phase counters, the end-to-end latency
 # histogram, the target distance-table counter, Greedy-M's cross-FD
-# lookup counter, and trace spans covering detect -> solve (with the
+# lookup and score-memo counters, and trace spans covering detect -> solve (with the
 # cross-FD index) -> targets (with the distance table) -> apply).
 # Usage: tools/metrics_check.sh [build-dir]
 set -euo pipefail
@@ -82,6 +82,8 @@ missing = [
         "ftrepair.ingest.rows_read",
         "ftrepair.targets.distance_evals",
         "ftrepair.solve.conflict_lookups",
+        "ftrepair.solve.score_memo_hits",
+        "ftrepair.solve.score_memo_misses",
     )
     if key not in counters
 ]
@@ -121,6 +123,8 @@ for e in events:
             sys.exit(f"FAIL: targets.distance_table lacks rows/cells args: {args}")
 if metrics["counters"]["ftrepair.solve.conflict_lookups"] < 1:
     sys.exit("FAIL: ftrepair.solve.conflict_lookups never incremented")
+if metrics["counters"]["ftrepair.solve.score_memo_misses"] < 1:
+    sys.exit("FAIL: ftrepair.solve.score_memo_misses never incremented")
 for e in events:
     if e.get("name") == "greedy.cross_index":
         args = e.get("args", {})
